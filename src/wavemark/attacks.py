@@ -7,16 +7,16 @@ while keeping the original geometry, since extraction needs the
 full-size raster.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .image_io import PlanarImage
+from .watermark import DEFAULT_LEVELS
 from .wavelet import dwt2_forward, dwt2_inverse, threshold_details
 
-__all__ = ["CropRect", "wavelet_compress", "crop"]
-
-_LEVELS = 3
+__all__ = ["CropRect", "wavelet_compressor", "wavelet_compress", "crop"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,27 @@ class CropRect:
             raise ValueError(f"rectangle origin must be >= 0, got ({self.x}, {self.y})")
 
 
+def wavelet_compressor(img: PlanarImage) -> Callable[[float], PlanarImage]:
+    """Return ``t255 -> wavelet_compress(img, t255)`` for a sweep of thresholds.
+
+    The first call decomposes each channel; every call then only thresholds
+    and inverts those pyramids, making one compressed image at a time.
+    """
+    pyramids = []
+
+    def compress(t255: float) -> PlanarImage:
+        if not t255 >= 0.0:
+            raise ValueError(f"threshold must be >= 0, got {t255}")
+        if not pyramids:
+            pyramids[:] = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in img.data]
+        out = np.empty_like(img.data)
+        for ch, pyr in enumerate(pyramids):
+            out[ch] = dwt2_inverse(threshold_details(pyr, t255 / 255.0))
+        return PlanarImage(np.clip(out, 0.0, 1.0, out=out))
+
+    return compress
+
+
 def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     """Compress by zeroing detail coefficients below a threshold.
 
@@ -42,14 +63,7 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     internally, since the pipeline works on unit-range samples.  Each
     channel is thresholded independently over a 3-level decomposition.
     """
-    if not t255 >= 0.0:
-        raise ValueError(f"threshold must be >= 0, got {t255}")
-    t = t255 / 255.0
-    out = np.empty_like(img.data)
-    for ch in range(img.channels):
-        pyr = dwt2_forward(img.data[ch], _LEVELS)
-        out[ch] = dwt2_inverse(threshold_details(pyr, t))
-    return PlanarImage(np.clip(out, 0.0, 1.0))
+    return wavelet_compressor(img)(t255)
 
 
 def crop(img: PlanarImage, rect: CropRect, fill: float = 0.0) -> PlanarImage:

@@ -17,7 +17,7 @@ import secrets
 import sys
 from dataclasses import dataclass
 
-from .attacks import CropRect, crop, wavelet_compress
+from .attacks import CropRect, crop, wavelet_compress, wavelet_compressor
 from .errors import CapacityError, DimensionError, FormatError, WavemarkError
 from .image_io import (
     quantize,
@@ -205,20 +205,23 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     except (WavemarkError, ValueError, OSError):
         return [failed("embed", "-")]
 
-    scenarios: list[tuple[str, str]] = [("clean", "-")]
-    scenarios += [("compress", f"{t:g}") for t in thresholds]
+    # (scenario, param label, attack): the attack gets the parsed value,
+    # never its label read back
+    compress = wavelet_compressor(watermarked)
+    scenarios = [("clean", "-", lambda: watermarked)]
+    scenarios += [
+        ("compress", f"{t:g}", lambda t=t: quantize(compress(t))) for t in thresholds
+    ]
     host_rects = rects if rects is not None else _default_rects(host.width, host.height)
-    scenarios += [("crop", f"{r.x},{r.y},{r.w},{r.h}") for r in host_rects]
+    scenarios += [
+        ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: quantize(crop(watermarked, r)))
+        for r in host_rects
+    ]
 
     rows = []
-    for scenario, param in scenarios:
+    for scenario, param, attack in scenarios:
         try:
-            if scenario == "clean":
-                image = watermarked
-            elif scenario == "compress":
-                image = quantize(wavelet_compress(watermarked, float(param)))
-            else:
-                image = quantize(crop(watermarked, _parse_rect(param)))
+            image = attack()
             recovered = extract(image, key)
             rows.append(
                 BenchRow(

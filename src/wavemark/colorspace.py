@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["YCbCrImage", "rgb_to_jpeg_ycbcr", "jpeg_ycbcr_to_rgb"]
+__all__ = ["YCbCrImage", "rgb_to_jpeg_ycbcr", "jpeg_ycbcr_to_rgb", "luma"]
 
 from .image_io import PlanarImage
 
@@ -54,10 +54,21 @@ class YCbCrImage:
         return self.y.shape[1]
 
 
-def rgb_to_jpeg_ycbcr(img: PlanarImage) -> YCbCrImage:
-    """Forward transform: [Y, Cb, Cr] = offset + M @ [R, G, B]."""
+def _check_rgb(img: PlanarImage) -> None:
     if img.channels != 3:
         raise ValueError(f"color transform needs 3 channels, got {img.channels}")
+
+
+def luma(img: PlanarImage) -> np.ndarray:
+    """The Y grid of :func:`rgb_to_jpeg_ycbcr` alone, summed in its order."""
+    _check_rgb(img)
+    r, g, b = img.data
+    return r * _FORWARD[0, 0] + g * _FORWARD[0, 1] + b * _FORWARD[0, 2]
+
+
+def rgb_to_jpeg_ycbcr(img: PlanarImage) -> YCbCrImage:
+    """Forward transform: [Y, Cb, Cr] = offset + M @ [R, G, B]."""
+    _check_rgb(img)
     ycc = np.einsum("ij,jhw->ihw", _FORWARD, img.data) + _OFFSET[:, None, None]
     return YCbCrImage(ycc[0], ycc[1], ycc[2])
 

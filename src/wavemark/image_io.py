@@ -56,10 +56,9 @@ class PlanarImage:
             raise ValueError(
                 f"image data must have shape (1|3, height, width), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("image samples must be finite")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("image samples must lie in [0, 1]")
+        # written so that NaN, which fails every comparison, is rejected too
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise ValueError("image samples must be finite and lie in [0, 1]")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -218,13 +217,8 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> None:
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
     ints = _encode_samples(img.data, maxval)
     magic = b"P5" if img.channels == 1 else b"P6"
-    interleaved = ints.transpose(1, 2, 0)  # (h, w, c)
-    if maxval > 255:
-        hi = (interleaved >> 8).astype(np.uint8)
-        lo = (interleaved & 0xFF).astype(np.uint8)
-        payload = np.stack([hi, lo], axis=-1).tobytes()
-    else:
-        payload = interleaved.astype(np.uint8).tobytes()
+    sample = np.uint8 if maxval == 255 else np.dtype(">u2")  # 16-bit: MSB first
+    payload = ints.transpose(1, 2, 0).astype(sample).tobytes()  # (h, w, c)
     header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, maxval)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -232,13 +226,18 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> None:
 
 
 def _encode_samples(arr: np.ndarray, maxval: int) -> np.ndarray:
-    ints = round_half_away(arr * float(maxval))
-    return np.clip(ints, 0, maxval).astype(np.int64)
+    """File samples, as integral floats.  For ``v >= 0``, :func:`round_half_away`
+    is ``floor(v + 0.5)``; below 0 the clamp sends both to 0."""
+    out = arr * float(maxval)
+    out += 0.5
+    np.floor(out, out=out)
+    return np.clip(out, 0.0, maxval, out=out)
 
 
 def quantize(img: PlanarImage, maxval: int = 255) -> PlanarImage:
     """Snap samples to the ``maxval`` grid, as a write/read cycle would."""
-    return PlanarImage(_encode_samples(img.data, maxval) / float(maxval))
+    ints = _encode_samples(img.data, maxval)
+    return PlanarImage(np.divide(ints, float(maxval), out=ints))
 
 
 def read_watermark(path) -> BitMatrix:

@@ -9,6 +9,10 @@ from .image_io import BitMatrix, PlanarImage
 
 __all__ = ["MetricsReport", "psnr", "pearson", "nc", "ber"]
 
+# samples per block in pearson: the two centred blocks fit in a 2 MiB L2
+# cache, so each sample is read from memory once
+_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -45,7 +49,15 @@ def pearson(a: PlanarImage, b: PlanarImage) -> float:
     y = b.data.reshape(-1)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ValueError("correlation undefined for a constant image")
-    return float(np.corrcoef(x, y)[0, 1])
+    mx, my = x.mean(), y.mean()
+    sxy = sxx = syy = 0.0
+    for i in range(0, x.size, _BLOCK):
+        xc, yc = x[i : i + _BLOCK] - mx, y[i : i + _BLOCK] - my
+        sxy += np.einsum("i,i", xc, yc)
+        sxx += np.einsum("i,i", xc, xc)
+        syy += np.einsum("i,i", yc, yc)
+    r = sxy / math.sqrt(sxx * syy)
+    return float(min(max(r, -1.0), 1.0))
 
 
 def nc(w: BitMatrix, w2: BitMatrix) -> float:

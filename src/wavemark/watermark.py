@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import YCbCrImage, jpeg_ycbcr_to_rgb, rgb_to_jpeg_ycbcr
+from .colorspace import YCbCrImage, jpeg_ycbcr_to_rgb, luma, rgb_to_jpeg_ycbcr
 from .errors import CapacityError, FormatError
 from .image_io import BitMatrix, PlanarImage, round_half_away
-from .wavelet import dwt2_forward, dwt2_inverse
+from .wavelet import dwt2_forward, dwt2_inverse, dwt2_ll
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -162,17 +162,17 @@ def embed(
 def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
     """Recover the watermark from a (possibly attacked) image and its key.
 
-    Blind: only the watermarked image and the key are consulted.
+    Blind: only the watermarked image and the key are consulted, and of
+    the image only the LL subband of its luma.
     """
-    ycc = rgb_to_jpeg_ycbcr(watermarked)
-    pyr = dwt2_forward(ycc.y, key.levels)
+    ll = dwt2_ll(luma(watermarked), key.levels)
     n = key.n
-    if key.offset + n > pyr.ll.size:
+    if key.offset + n > ll.size:
         raise CapacityError(
             f"key addresses {key.offset + n} coefficients but "
-            f"LL{key.levels} holds only {pyr.ll.size}"
+            f"LL{key.levels} holds only {ll.size}"
         )
-    c = pyr.ll.reshape(-1)[key.offset : key.offset + n]
+    c = ll.reshape(-1)[key.offset : key.offset + n]
     encrypted = _read_parities(c, key.delta)
     bits = xor_bits(encrypted, key.r)
     return BitMatrix(bits.reshape(key.rows, key.cols))

@@ -8,6 +8,13 @@ constant values.  Boundaries use symmetric whole-sample extension
 biorthogonal filters, which keeps perfect reconstruction exact at the
 edges.
 
+Each 1-D pass copies the even and odd samples of its axis, rows or
+columns alike, into two contiguous halves and lifts them in place
+(Daubechies & Sweldens, "Factoring wavelet transforms into lifting
+steps", 1998); nothing is transposed.  A level is one [[LL, HL], [LH,
+HH]] grid whose bands the pyramid holds as views.  :func:`dwt2_ll` runs
+the same level step on the lowpass half only, for readers of LL_L.
+
 Normalization puts gain K on the lowpass and 1/K on the highpass, so one
 1-D pass has DC gain sqrt(2) and an L-level 2-D pyramid satisfies
 mean(LL_L) = 2^L * mean(input).
@@ -24,6 +31,7 @@ __all__ = [
     "SubbandPyramid",
     "DetailBands",
     "dwt2_forward",
+    "dwt2_ll",
     "dwt2_inverse",
     "threshold_details",
     "ll_synthesis_atom",
@@ -92,60 +100,82 @@ class SubbandPyramid:
             )
 
 
-def _analyze(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One 1-D analysis pass along axis 0 of a 2-D array (even length)."""
-    s = a[0::2].astype(np.float64).copy()
-    d = a[1::2].astype(np.float64).copy()
-    # predict/update with the symmetric fold at each end
-    d[:-1] += ALPHA * (s[:-1] + s[1:])
-    d[-1] += 2.0 * ALPHA * s[-1]
-    s[1:] += BETA * (d[:-1] + d[1:])
-    s[0] += 2.0 * BETA * d[0]
-    d[:-1] += GAMMA * (s[:-1] + s[1:])
-    d[-1] += 2.0 * GAMMA * s[-1]
-    s[1:] += DELTA * (d[:-1] + d[1:])
-    s[0] += 2.0 * DELTA * d[0]
-    return SCALE * s, d / SCALE
+# (constant, predict?) in analysis order: predict updates the odd samples
+# from their even neighbours, update the even ones from their odd ones
+_STEPS = ((ALPHA, True), (BETA, False), (GAMMA, True), (DELTA, False))
 
 
-def _synthesize(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact reversal of :func:`_analyze`, interleaving along axis 0."""
-    s = (lo / SCALE).copy()
-    d = (hi * SCALE).copy()
-    s[1:] -= DELTA * (d[:-1] + d[1:])
-    s[0] -= 2.0 * DELTA * d[0]
-    d[:-1] -= GAMMA * (s[:-1] + s[1:])
-    d[-1] -= 2.0 * GAMMA * s[-1]
-    s[1:] -= BETA * (d[:-1] + d[1:])
-    s[0] -= 2.0 * BETA * d[0]
-    d[:-1] -= ALPHA * (s[:-1] + s[1:])
-    d[-1] -= 2.0 * ALPHA * s[-1]
-    out = np.empty((2 * s.shape[0],) + s.shape[1:], dtype=np.float64)
-    out[0::2] = s
-    out[1::2] = d
-    return out
+def _lift(
+    s: np.ndarray, d: np.ndarray, free: np.ndarray, inverse: bool = False
+) -> None:
+    """Lift the even samples ``s`` and odd samples ``d`` in place along
+    axis 1 of two C-contiguous (outer, n, inner) arrays.
+
+    Axis-1 neighbours sit ``inner`` apart, so each step is one pass over
+    the flat buffers; the end samples, which fold their missing
+    neighbour, then overwrite their slice of the scratch sums.  The
+    scratch is the head of ``free``, a contiguous buffer whose contents
+    are dead: borrowing it saves an allocation and its page faults.
+    """
+    k = s.shape[2]
+    sums = free.reshape(-1)[: s.size]
+    scratch = sums.reshape(s.shape)
+    s_flat, d_flat = s.reshape(-1), d.reshape(-1)
+    apply = np.subtract if inverse else np.add
+    if inverse:
+        s /= SCALE
+        d *= SCALE
+    for const, predict in reversed(_STEPS) if inverse else _STEPS:
+        if predict:  # d[j] += c * (s[j] + s[j+1]), with s[n] = s[n-1]
+            np.add(s_flat[:-k], s_flat[k:], out=sums[:-k])
+            np.multiply(s[:, -1], 2.0, out=scratch[:, -1])
+            target = d_flat
+        else:  # s[j] += c * (d[j-1] + d[j]), with d[-1] = d[0]
+            np.add(d_flat[:-k], d_flat[k:], out=sums[k:])
+            np.multiply(d[:, 0], 2.0, out=scratch[:, 0])
+            target = s_flat
+        sums *= const
+        apply(target, sums, out=target)
+    if not inverse:
+        s *= SCALE
+        d /= SCALE
 
 
-def _forward_level(x: np.ndarray):
-    lo, hi = _analyze(x.T)
-    lo, hi = lo.T, hi.T  # rows done: columns split into low | high halves
-    ll, lh = _analyze(lo)
-    hl, hh = _analyze(hi)
-    return ll, DetailBands(lh=lh, hl=hl, hh=hh)
+def _forward_level(x: np.ndarray, ll_only: bool = False) -> np.ndarray:
+    """One level, rows then columns: the (2, 2, h/2, w/2) grid [[ll, hl],
+    [lh, hh]], or [[ll], [lh]] when ``ll_only`` skips the x-highpass half."""
+    h, w = x.shape
+    rows = np.empty((2, h, w // 2))  # [lowpass, highpass] along x
+    grid = np.empty((2, 1 if ll_only else 2, h // 2, w // 2))
+    rows[0] = x[:, 0::2]
+    rows[1] = x[:, 1::2]
+    _lift(rows[0, :, :, None], rows[1, :, :, None], free=grid)
+    if ll_only:
+        rows = rows[:1]
+    grid[0] = rows[:, 0::2]
+    grid[1] = rows[:, 1::2]
+    _lift(grid[0], grid[1], free=rows)
+    return grid
 
 
 def _inverse_level(ll: np.ndarray, bands: DetailBands) -> np.ndarray:
-    lo = _synthesize(ll, bands.lh)
-    hi = _synthesize(bands.hl, bands.hh)
-    return _synthesize(lo.T, hi.T).T
+    """Exact reversal of :func:`_forward_level`: columns, then rows."""
+    h, w = ll.shape
+    grid = np.empty((2, 2, h, w))
+    rows = np.empty((2, 2 * h, w))
+    grid[0, 0], grid[0, 1] = ll, bands.hl
+    grid[1, 0], grid[1, 1] = bands.lh, bands.hh
+    _lift(grid[0], grid[1], free=rows, inverse=True)
+    rows[:, 0::2] = grid[0]
+    rows[:, 1::2] = grid[1]
+    _lift(rows[0, :, :, None], rows[1, :, :, None], free=grid, inverse=True)
+    out = grid.reshape(2 * h, 2 * w)  # grid is dead once rows holds it
+    out[:, 0::2] = rows[0]
+    out[:, 1::2] = rows[1]
+    return out
 
 
-def dwt2_forward(channel: np.ndarray, levels: int) -> SubbandPyramid:
-    """Decompose a 2-D grid into an L-level subband pyramid.
-
-    Each level applies the 1-D lifting to rows then columns and recurses
-    on the LL quadrant.  Both dimensions must be divisible by 2**levels.
-    """
+def _check_grid(channel, levels: int) -> np.ndarray:
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     channel = np.asarray(channel, dtype=np.float64)
@@ -158,14 +188,38 @@ def dwt2_forward(channel: np.ndarray, levels: int) -> SubbandPyramid:
             f"grid dimensions {w}x{h} must be divisible by {mult} "
             f"for {levels} levels"
         )
+    return channel
+
+
+def dwt2_forward(channel: np.ndarray, levels: int) -> SubbandPyramid:
+    """Decompose a 2-D grid into an L-level subband pyramid.
+
+    Each level applies the 1-D lifting to rows then columns and recurses
+    on the LL quadrant.  Both dimensions must be divisible by 2**levels.
+    The detail bands are views into one grid per level.
+    """
+    cur = _check_grid(channel, levels)
+    h, w = cur.shape
     details = []
-    cur = channel
     for _ in range(levels):
-        cur, bands = _forward_level(cur)
-        details.append(bands)
+        grid = _forward_level(cur)
+        cur = grid[0, 0]
+        details.append(DetailBands(lh=grid[1, 0], hl=grid[0, 1], hh=grid[1, 1]))
     return SubbandPyramid(
         base_height=h, base_width=w, ll=cur, details=tuple(details)
     )
+
+
+def dwt2_ll(channel: np.ndarray, levels: int) -> np.ndarray:
+    """The LL_L grid of :func:`dwt2_forward`, without the detail bands.
+
+    Bit-identical to ``dwt2_forward(channel, levels).ll``: each level runs
+    the same row pass and the column pass on the lowpass half alone.
+    """
+    cur = _check_grid(channel, levels)
+    for _ in range(levels):
+        cur = _forward_level(cur, ll_only=True)[0, 0]
+    return cur
 
 
 def dwt2_inverse(pyr: SubbandPyramid) -> np.ndarray:

@@ -183,6 +183,40 @@ class TestBench:
         crops = [line for line in lines[1:] if ",crop," in line]
         assert len(crops) == 2 and crops[0].count('"') == 2  # rect param quoted
 
+    def test_attacks_receive_parsed_values_not_labels(self, workdir, capsys, monkeypatch):
+        from wavemark import cli
+        from wavemark.attacks import CropRect
+
+        thresholds, rects = [], []
+        real_compressor, real_crop = cli.wavelet_compressor, cli.crop
+
+        def spy_compressor(img):
+            compress = real_compressor(img)
+
+            def spy(t):
+                thresholds.append(t)
+                return compress(t)
+
+            return spy
+
+        def spy_crop(img, rect, *args, **kwargs):
+            rects.append(rect)
+            return real_crop(img, rect, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "wavelet_compressor", spy_compressor)
+        monkeypatch.setattr(cli, "crop", spy_crop)
+        code = main(
+            ["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"), "--seed", "42",
+             "--thresholds", "3.1234567", "--crops", "1,2,30,40", "--format", "csv"]
+        )
+        assert code == 0
+        assert thresholds == [3.1234567]
+        assert rects == [CropRect(1, 2, 30, 40)] and type(rects[0]) is CropRect
+        import csv as _csv
+
+        rows = [row[1:3] for row in _csv.reader(capsys.readouterr().out.splitlines()[1:])]
+        assert rows == [["clean", "-"], ["compress", "3.12346"], ["crop", "1,2,30,40"]]
+
     def test_csv_runs_are_byte_identical(self, workdir, capsys):
         args = ["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"),
                 "--seed", "42", "--format", "csv"]

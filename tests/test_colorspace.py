@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavemark import PlanarImage, jpeg_ycbcr_to_rgb, rgb_to_jpeg_ycbcr
-from wavemark.colorspace import YCbCrImage
+from wavemark.colorspace import YCbCrImage, luma
 
 
 def _one_pixel(r, g, b):
@@ -33,6 +33,16 @@ class TestForward:
     def test_grayscale_input_rejected(self):
         with pytest.raises(ValueError):
             rgb_to_jpeg_ycbcr(PlanarImage(np.zeros((1, 2, 2))))
+
+
+class TestLuma:
+    def test_matches_forward_transform_bit_for_bit(self):
+        img = PlanarImage(np.random.default_rng(11).random((3, 24, 40)))
+        assert np.array_equal(luma(img), rgb_to_jpeg_ycbcr(img).y)
+
+    def test_grayscale_input_rejected(self):
+        with pytest.raises(ValueError):
+            luma(PlanarImage(np.zeros((1, 2, 2))))
 
 
 class TestBackward:

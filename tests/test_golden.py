@@ -1,0 +1,61 @@
+"""Golden outputs: the seeded results below must stay byte-identical.
+
+A change that moves any output bit (a reordered sum, a different rounding
+rule) fails here; a deliberate behaviour change re-records the digests and
+says so in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from wavemark import dwt2_forward, dwt2_inverse, threshold_details, write_watermark
+from wavemark.cli import main
+from conftest import make_mark
+
+_BENCH_CSV_SHA256 = "1c1f813bd83a03737cc919e084a8fd75e0b3395903143041441ead9de9ba5f21"
+_MARKED_PPM_SHA256 = "ba2eaca8f42ea8ffa00cbd54e6764c0289c6e629edc2522d3beb568ec9ef7e69"
+# float64 bytes of a seeded 64x96 pyramid and of its thresholded inverse:
+# the lifting is elementwise, so these hold on any IEEE-754 machine
+_PYRAMID_SHA256 = "ce2fbcdadca7ac129ef657dcfd72a5663c6691b54b2dc1e841e754da4269f496"
+_INVERSE_SHA256 = "93e88f5f131fa66f6818b1a6d60175cc6a91c6a3bf754dfa283c1c9c90471905"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    # relative names keep the host column of the CSV independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    for kind in ("noise", "checker", "gradient"):
+        assert main(["synth", f"{kind}.ppm", "--size", "64", "--kind", kind, "--seed", "5"]) == 0
+    write_watermark(make_mark(4, 16), "wm.pbm")
+    return tmp_path
+
+
+def test_bench_csv_is_byte_identical(inputs, capsys):
+    code = main(
+        ["bench", "noise.ppm", "checker.ppm", "gradient.ppm", "wm.pbm",
+         "--seed", "11", "--thresholds", "3,5,7,40,80", "--format", "csv"]
+    )
+    assert code == 0
+    assert _sha256(capsys.readouterr().out.encode()) == _BENCH_CSV_SHA256
+
+
+def test_marked_ppm_is_byte_identical(inputs):
+    assert main(["embed", "noise.ppm", "wm.pbm", "marked.ppm", "marked.key", "--seed", "11"]) == 0
+    assert _sha256((inputs / "marked.ppm").read_bytes()) == _MARKED_PPM_SHA256
+
+
+def test_wavelet_coefficients_are_bit_identical():
+    pyr = dwt2_forward(np.random.default_rng(2024).random((64, 96)), 3)
+    digest = hashlib.sha256(pyr.ll.tobytes())
+    for bands in pyr.details:
+        for grid in bands.grids():
+            digest.update(np.ascontiguousarray(grid).tobytes())
+    assert digest.hexdigest() == _PYRAMID_SHA256
+    inverse = dwt2_inverse(threshold_details(pyr, 0.05))
+    assert _sha256(inverse.tobytes()) == _INVERSE_SHA256

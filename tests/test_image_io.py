@@ -26,6 +26,13 @@ class TestPlanarImage:
         with pytest.raises(ValueError):
             PlanarImage(np.full((1, 2, 2), np.nan))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_non_finite_sample_rejected(self, bad):
+        data = np.random.default_rng(0).random((3, 4, 6))
+        data[1, 2, 3] = bad
+        with pytest.raises(ValueError):
+            PlanarImage(data)
+
     def test_properties(self):
         img = PlanarImage(np.zeros((3, 4, 6)))
         assert (img.channels, img.height, img.width) == (3, 4, 6)
@@ -110,6 +117,13 @@ class TestWriteImage:
     def test_endpoint_and_half_encoding(self):
         enc = _encode_samples(np.array([1.0, 0.5, 0.0]), 255)
         assert list(enc) == [255, 128, 0]  # round(127.5) away from zero -> 128
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_encoding_matches_round_half_away_on_every_tie(self, maxval):
+        # k / (2 * maxval) for every k: each odd k is a rounding tie
+        x = np.arange(2 * maxval + 1) / (2.0 * maxval)
+        expect = np.clip(round_half_away(x * maxval), 0, maxval)
+        assert np.array_equal(_encode_samples(x, maxval), expect)
 
     def test_clamp_of_out_of_range_internal_values(self):
         enc = _encode_samples(np.array([-0.2, 1.3]), 255)

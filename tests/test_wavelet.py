@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_details
-from wavemark.wavelet import DetailBands, SubbandPyramid, ll_synthesis_atom
+from wavemark.wavelet import DetailBands, SubbandPyramid, dwt2_ll, ll_synthesis_atom
 
 # Independent convolution oracle: published CDF 9/7 analysis taps
 # (12-digit literature values), rescaled to this implementation's
@@ -196,6 +196,23 @@ class TestProperties:
         x[32:-32, 32:-32] += rng.random((64, 64)) - 0.5
         pyr = dwt2_forward(x, 3)
         assert abs(pyr.ll.mean() - 8.0 * x.mean()) < 1e-9
+
+
+class TestLLOnly:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_matches_full_pyramid_bit_for_bit(self, levels):
+        # odd multiples of 2**levels: the last level splits odd lengths
+        unit = 1 << levels
+        x = np.random.default_rng(levels).random((3 * unit, 5 * unit))
+        assert np.array_equal(dwt2_ll(x, levels), dwt2_forward(x, levels).ll)
+
+    def test_input_untouched_and_dimensions_checked(self):
+        x = np.random.default_rng(9).random((24, 40))
+        before = x.copy()
+        dwt2_ll(x, 3)
+        assert np.array_equal(x, before)
+        with pytest.raises(DimensionError):
+            dwt2_ll(x, 4)
 
 
 class TestThreshold:
