@@ -19,7 +19,7 @@ from .image_io import (
     write_image,
     write_watermark,
 )
-from .metrics import MetricsReport, ber, nc, pearson, psnr
+from .metrics import ber, nc, pearson, psnr
 from .synth import synthesize_host
 from .watermark import (
     DEFAULT_DELTA,
@@ -50,7 +50,6 @@ __all__ = [
     "DetailBands",
     "DimensionError",
     "FormatError",
-    "MetricsReport",
     "PlanarImage",
     "SubbandPyramid",
     "WatermarkKey",

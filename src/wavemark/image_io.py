@@ -2,9 +2,12 @@
 
 Supported containers are the portable formats only: PGM (P2/P5) for
 grayscale, PPM (P3/P6) for color, PBM (P1/P4) for binary watermarks.
-Headers follow the Netpbm conventions: ASCII ``magic width height
-[maxval]`` with ``#`` comments allowed between tokens and a single
-whitespace character separating the header from a binary payload.
+The header is ``magic width height maxval`` (PBM has no maxval) in
+decimal-digit tokens; ``#`` starts a comment that runs to the end of its
+line, allowed between any two tokens of the header or an ASCII raster.
+ASCII samples are decimal digits between whitespace, except that P1
+digits may run together.  Content after the last sample is ignored.
+Exactly one whitespace byte precedes a binary payload.
 
 Samples are held as floats in [0, 1]; a file sample ``v`` with maximum
 value ``maxval`` maps to ``v / maxval``.  Writing uses
@@ -12,6 +15,7 @@ round-half-away-from-zero (see :func:`round_half_away`), the one rounding
 rule used throughout the toolkit.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,110 +105,96 @@ class BitMatrix:
         return self.bits.size
 
 
-class _Cursor:
-    """Byte-level reader for Netpbm headers, tracking the offset for errors."""
-
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def fail(self, detail: str) -> FormatError:
-        return FormatError(f"{self.path}: byte {self.pos}: {detail}")
-
-    def _skip_separators(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif b == ord("#"):
-                while self.pos < n and data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                return
-
-    def token(self, what: str) -> bytes:
-        self._skip_separators()
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        if self.pos == start:
-            raise self.fail(f"expected {what}, found end of header")
-        return data[start : self.pos]
-
-    def int_token(self, what: str, lo: int, hi: int) -> int:
-        tok = self.token(what)
-        try:
-            val = int(tok)
-        except ValueError:
-            raise self.fail(f"expected integer {what}, got {tok!r}") from None
-        if not lo <= val <= hi:
-            raise self.fail(f"{what} {val} out of range [{lo}, {hi}]")
-        return val
-
-    def binary_payload(self) -> bytes:
-        # exactly one whitespace byte separates the header from raster data
-        if self.pos >= len(self.data) or self.data[self.pos] not in b" \t\r\n\x0b\x0c":
-            raise self.fail("expected single whitespace before binary payload")
-        self.pos += 1
-        return self.data[self.pos :]
+# separators and "#" comments, then one header token
+_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*([^ \t\r\n\v\f#]*)")
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_NOT_DIGIT_OR_SPACE = re.compile(rb"[^0-9 \t\r\n\v\f]")
+_WHITESPACE = b" \t\r\n\v\f"
 
 
-def _read_header(cur: _Cursor, magics: tuple[bytes, ...]) -> bytes:
-    magic = cur.token("magic number")
-    if magic not in magics:
-        raise cur.fail(f"unsupported magic {magic!r}, expected one of {magics}")
-    return magic
-
-
-def _ascii_samples(cur: _Cursor, count: int, maxval: int) -> np.ndarray:
-    vals = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        try:
-            vals[i] = cur.int_token("sample", 0, maxval)
-        except FormatError as exc:
-            raise FormatError(f"{exc} (sample {i} of {count})") from None
-    return vals
-
-
-def _binary_samples(cur: _Cursor, count: int, maxval: int) -> np.ndarray:
-    payload = cur.binary_payload()
-    width = 2 if maxval > 255 else 1
-    need = count * width
-    if len(payload) < need:
+def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, int]:
+    """The header integer at ``pos``, in [1, hi], and the offset after it."""
+    m = _TOKEN.match(data, pos)
+    token = m[1]
+    digits = token.lstrip(b"0") or b"0"
+    # more than 10 significant digits is out of range for every field
+    if not token.isdigit() or len(digits) > 10 or not 1 <= int(digits) <= hi:
         raise FormatError(
-            f"{cur.path}: truncated payload, need {need} bytes, have {len(payload)}"
+            f"{path}: byte {m.start(1)}: expected {name} in [1, {hi}], got {token!r}"
         )
-    raw = np.frombuffer(payload[:need], dtype=np.uint8)
-    if width == 2:
-        vals = raw[0::2].astype(np.float64) * 256.0 + raw[1::2]
+    return int(digits), m.end()
+
+
+def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
+    """Integer samples of a Netpbm file, shaped (height, width, channels), and
+    its maxval; PBM reads as maxval 1.
+
+    Every array is sized by the payload bytes, never by the header's
+    dimensions, so a file that claims more samples than it holds is rejected
+    before anything of that size is allocated.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    m = _TOKEN.match(data)
+    magic = m[1]
+    if magic not in magics:
+        raise FormatError(
+            f"{path}: byte {m.start(1)}: unsupported magic {magic!r}, expected one of {magics}"
+        )
+    width, pos = _header_int(data, m.end(), path, "width", 1 << 30)
+    height, pos = _header_int(data, pos, path, "height", 1 << 30)
+    maxval = 1
+    if magic not in (b"P1", b"P4"):
+        maxval, pos = _header_int(data, pos, path, "maxval", 65535)
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    # P4 pads each row to a whole byte; the pad bits are decoded, then dropped
+    padded = (width + 7) // 8 * 8 if magic == b"P4" else width
+    count = height * padded * channels
+
+    bad_token = None
+    if magic in (b"P1", b"P2", b"P3"):
+        body = _COMMENT.sub(b"", data[pos:])
+        if magic == b"P1":
+            # bits may run together; any byte but 0 or 1 lands above maxval
+            samples = np.frombuffer(body.translate(None, _WHITESPACE), np.uint8) - ord("0")
+        else:
+            # the samples before the first byte that is neither a digit nor
+            # whitespace, less the partial token that byte belongs to
+            bad = _NOT_DIGIT_OR_SPACE.search(body)
+            clean = body if bad is None else body[: bad.start()].rstrip(b"0123456789")
+            if bad is not None:
+                bad_token = _TOKEN.match(body, len(clean))[1]
+            # np.fromstring reads a blank string as one 0
+            samples = np.fromstring(b"" if clean.isspace() else clean, np.int64, sep=" ")
     else:
-        vals = raw.astype(np.float64)
-    if vals.max(initial=0.0) > maxval:
-        raise FormatError(f"{cur.path}: sample exceeds maxval {maxval}")
-    return vals
+        # exactly one whitespace byte separates the header from raster data
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
+            raise FormatError(f"{path}: byte {pos}: expected whitespace before binary payload")
+        pos += 1
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")  # 16-bit: MSB first
+        fit = (len(data) - pos) // dtype.itemsize
+        if magic == b"P4":  # rows packed MSB-first, 8 samples to a byte
+            samples = np.unpackbits(np.frombuffer(data, dtype, min(count // 8, fit), pos))
+        else:
+            samples = np.frombuffer(data, dtype, min(count, fit), pos)
+
+    if samples.size < count:
+        where = f"sample {samples.size} of {count}"
+        if bad_token is not None:
+            raise FormatError(f"{path}: {where}: expected a decimal integer, got {bad_token!r}")
+        raise FormatError(f"{path}: truncated payload, file ends before {where}")
+    samples = samples[:count]
+    if samples.max() > maxval:
+        first = int(np.argmax(samples > maxval))
+        raise FormatError(f"{path}: sample {first} of {count} exceeds maxval {maxval}")
+    # file order is row-major, channels interleaved per pixel
+    return samples.reshape(height, padded, channels)[:, :width], maxval
 
 
 def read_image(path) -> PlanarImage:
     """Read a PGM (P2/P5) or PPM (P3/P6) file into a unit-range raster."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cur = _Cursor(data, str(path))
-    magic = _read_header(cur, (b"P2", b"P5", b"P3", b"P6"))
-    width = cur.int_token("width", 1, 1 << 30)
-    height = cur.int_token("height", 1, 1 << 30)
-    maxval = cur.int_token("maxval", 1, 65535)
-    channels = 3 if magic in (b"P3", b"P6") else 1
-    count = width * height * channels
-    if magic in (b"P2", b"P3"):
-        vals = _ascii_samples(cur, count, maxval)
-    else:
-        vals = _binary_samples(cur, count, maxval)
-    # file order is row-major, channels interleaved per pixel
-    planes = vals.reshape(height, width, channels).transpose(2, 0, 1)
-    return PlanarImage(planes / float(maxval))
+    samples, maxval = _decode(path, (b"P2", b"P5", b"P3", b"P6"))
+    return PlanarImage(samples.transpose(2, 0, 1) / maxval)
 
 
 def write_image(img: PlanarImage, path, maxval: int = 255) -> None:
@@ -243,56 +233,11 @@ def quantize(img: PlanarImage, maxval: int = 255) -> PlanarImage:
 def read_watermark(path) -> BitMatrix:
     """Read a watermark from a PBM (P1/P4) or PGM (P2/P5) file.
 
-    PBM bits are taken directly (1 = ink/black).  PGM samples are
-    binarized at 0.5 after division by maxval, so near-binary scans work.
+    Samples are binarized at 0.5 after division by maxval, so PBM bits are
+    taken directly (1 = ink/black) and near-binary PGM scans work.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cur = _Cursor(data, str(path))
-    magic = _read_header(cur, (b"P1", b"P4", b"P2", b"P5"))
-    width = cur.int_token("width", 1, 1 << 30)
-    height = cur.int_token("height", 1, 1 << 30)
-    if magic in (b"P2", b"P5"):
-        maxval = cur.int_token("maxval", 1, 65535)
-        count = width * height
-        if magic == b"P2":
-            vals = _ascii_samples(cur, count, maxval)
-        else:
-            vals = _binary_samples(cur, count, maxval)
-        bits = (vals / float(maxval) >= 0.5).astype(np.uint8)
-        return BitMatrix(bits.reshape(height, width))
-    if magic == b"P1":
-        bits = _ascii_bits(cur, width * height)
-        return BitMatrix(bits.reshape(height, width))
-    # P4: rows packed MSB-first, each row padded to a whole byte
-    payload = cur.binary_payload()
-    row_bytes = (width + 7) // 8
-    need = row_bytes * height
-    if len(payload) < need:
-        raise FormatError(
-            f"{cur.path}: truncated payload, need {need} bytes, have {len(payload)}"
-        )
-    raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, row_bytes)
-    bits = np.unpackbits(raw, axis=1)[:, :width]
-    return BitMatrix(bits)
-
-
-def _ascii_bits(cur: _Cursor, count: int) -> np.ndarray:
-    # P1 allows digits to run together without separators
-    bits = np.empty(count, dtype=np.uint8)
-    got = 0
-    data, n = cur.data, len(cur.data)
-    while got < count:
-        cur._skip_separators()
-        if cur.pos >= n:
-            raise cur.fail(f"expected bit {got} of {count}, found end of file")
-        b = data[cur.pos]
-        if b not in b"01":
-            raise cur.fail(f"expected 0 or 1, got {bytes([b])!r}")
-        bits[got] = b - ord("0")
-        got += 1
-        cur.pos += 1
-    return bits
+    samples, maxval = _decode(path, (b"P1", b"P4", b"P2", b"P5"))
+    return BitMatrix(samples[:, :, 0] / maxval >= 0.5)
 
 
 def write_watermark(wm: BitMatrix, path) -> None:

@@ -1,27 +1,16 @@
 """Quality and fidelity measures: PSNR, Pearson correlation, NC, BER."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .image_io import BitMatrix, PlanarImage
 
-__all__ = ["MetricsReport", "psnr", "pearson", "nc", "ber"]
+__all__ = ["psnr", "pearson", "nc", "ber"]
 
 # samples per block in pearson: the two centred blocks fit in a 2 MiB L2
 # cache, so each sample is read from memory once
 _BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """One row of a benchmark: image fidelity plus watermark recovery."""
-
-    psnr_db: float
-    pearson: float
-    nc: float
-    ber_percent: float
 
 
 def _check_same_shape(a: PlanarImage, b: PlanarImage) -> None:

@@ -23,8 +23,8 @@ def synthesize_host(kind: str, size: int = 512, seed: int = 0) -> PlanarImage:
     checker:  32x32 blocks alternating 0.25/0.75, equal in all channels.
     noise:    uniform [0, 1) samples from a seeded PCG64 stream.
     """
-    if size % 8:
-        raise DimensionError(f"host size must be divisible by 8, got {size}")
+    if size <= 0 or size % 8:
+        raise DimensionError(f"host size must be a positive multiple of 8, got {size}")
     if kind == "gradient":
         x = np.arange(size) / (size - 1)
         y = np.arange(size) / (size - 1)

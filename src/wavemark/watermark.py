@@ -13,6 +13,7 @@ the quantizer's decision-region half-width, which is what buys
 robustness against compression and 8-bit file round trips.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ class WatermarkKey:
             )
         if self.subband != "LL":
             raise ValueError(f"unsupported subband {self.subband!r}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.levels < 1 or self.offset < 0:
             raise ValueError("levels must be >= 1 and offset >= 0")
         object.__setattr__(self, "r", r.astype(np.uint8))
@@ -129,8 +130,8 @@ def embed(
     Returns the watermarked image and the key required for extraction.
     The watermark must fit: rows*cols <= (width/8) * (height/8).
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     ycc = rgb_to_jpeg_ycbcr(host)
     pyr = dwt2_forward(ycc.y, DEFAULT_LEVELS)
     n = wm.size
@@ -204,8 +205,11 @@ def load_key(path) -> WatermarkKey:
         seed=<unsigned 64-bit decimal>
         R=<hex, MSB-first, ceil(n/8) bytes, last byte zero-padded>
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: key file is not UTF-8 text: {exc}") from None
     if len(lines) < 5 or any(line.strip() for line in lines[5:]):
         raise FormatError(f"{path}: key file must have exactly 5 lines")
     if lines[0] != _KEY_MAGIC:

@@ -54,6 +54,13 @@ class TestSynth:
     def test_bad_size(self, tmp_path):
         assert main(["synth", str(tmp_path / "x.ppm"), "--size", "100"]) == 4
 
+    @pytest.mark.parametrize("size", ["0", "-8"])
+    def test_non_positive_size(self, tmp_path, capsys, size):
+        out = tmp_path / "x.ppm"
+        assert main(["synth", str(out), "--size", size]) == 4
+        assert capsys.readouterr().err.startswith("error: dimension:")
+        assert not out.exists()
+
 
 class TestEmbedExtract:
     def test_embed_prints_metrics_and_extract_round_trips(self, workdir, capsys):
@@ -126,6 +133,45 @@ class TestEmbedExtract:
         code = main(["extract", str(tmp_path / "nope.ppm"), str(tmp_path / "k"), str(tmp_path / "r")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: io:")
+
+
+class TestHostileInputs:
+    """Malformed files leave through their documented category, never a traceback."""
+
+    def test_oversized_p3_header_on_extract(self, workdir, capsys):
+        _, _, key = _embed(workdir)
+        host = workdir / "huge.ppm"
+        host.write_bytes(b"P3\n1073741824 1073741824\n255\n0 0 0\n")
+        assert main(["extract", str(host), str(key), str(workdir / "rec.pbm")]) == 3
+        assert capsys.readouterr().err.startswith("error: format:")
+
+    def test_oversized_p1_mark_on_embed(self, workdir, capsys):
+        mark = workdir / "huge.pbm"
+        mark.write_bytes(b"P1\n1073741824 1073741824\n0 1\n")
+        code = main(["embed", str(workdir / "host.ppm"), str(mark),
+                     str(workdir / "o.ppm"), str(workdir / "k.txt"), "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: format:")
+
+    def test_non_utf8_key(self, workdir, capsys):
+        code, out, key = _embed(workdir)
+        key.write_bytes(b"\xff\xfe" + key.read_bytes())
+        assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 3
+        assert capsys.readouterr().err.startswith("error: format:")
+
+    def test_infinite_delta_in_key(self, workdir, capsys):
+        code, out, key = _embed(workdir)
+        lines = key.read_text().splitlines()
+        lines[2] = "delta=inf"
+        key.write_text("\n".join(lines) + "\n")
+        assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 3
+        assert capsys.readouterr().err.startswith("error: format:")
+
+    def test_infinite_delta_flag(self, workdir, capsys):
+        code, _, _ = _embed(workdir, "--delta", "inf")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "delta" in err
 
 
 class TestAttack:

@@ -12,6 +12,21 @@ from wavemark.image_io import (
 )
 
 
+def _netpbm(magic: bytes, samples: np.ndarray, maxval: int = 1) -> bytes:
+    """Encode integer samples shaped (height, width, channels) as one Netpbm file."""
+    height, width, _ = samples.shape
+    header = b"%s\n%d %d\n" % (magic, width, height)
+    if magic == b"P4":
+        return header + np.packbits(samples[:, :, 0], axis=1).tobytes()
+    if magic != b"P1":
+        header += b"%d\n" % maxval
+    if magic in (b"P5", b"P6"):
+        return header + samples.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+    sep = b"" if magic == b"P1" else b" "
+    rows = (sep.join(b"%d" % v for v in row.ravel()) for row in samples)
+    return header + b"\n".join(rows) + b"\n"
+
+
 def test_round_half_away():
     vals = round_half_away([0.5, 1.5, 2.5, -0.5, -1.5, 127.5, -127.5, 0.49, -0.49])
     assert list(vals) == [1.0, 2.0, 3.0, -1.0, -2.0, 128.0, -128.0, 0.0, -0.0]
@@ -211,3 +226,92 @@ class TestReadWatermark:
         p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(FormatError):
             read_watermark(p)
+
+
+class TestAsciiDecoding:
+    """The ASCII formats decode exactly as their binary twins do."""
+
+    @pytest.mark.parametrize(
+        "ascii_magic, binary_magic, channels", [(b"P2", b"P5", 1), (b"P3", b"P6", 3)]
+    )
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_ascii_equals_binary(self, tmp_path, ascii_magic, binary_magic, channels, maxval):
+        rng = np.random.default_rng(maxval + channels)
+        samples = rng.integers(0, maxval + 1, (5, 13, channels))
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(_netpbm(ascii_magic, samples, maxval))
+        b.write_bytes(_netpbm(binary_magic, samples, maxval))
+        img = read_image(a)
+        assert np.array_equal(img.data, read_image(b).data)
+        assert np.array_equal(img.data, samples.transpose(2, 0, 1) / maxval)
+
+    def test_p1_equals_p4(self, tmp_path):
+        bits = np.random.default_rng(7).integers(0, 2, (5, 13, 1))
+        a, b = tmp_path / "a.pbm", tmp_path / "b.pbm"
+        a.write_bytes(_netpbm(b"P1", bits))
+        b.write_bytes(_netpbm(b"P4", bits))
+        assert np.array_equal(read_watermark(a).bits, bits[:, :, 0])
+        assert np.array_equal(read_watermark(b).bits, bits[:, :, 0])
+
+    def test_comment_inside_raster(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P2\n3 1\n9\n1 # one\n2#two\r3\n")
+        assert np.array_equal(read_image(p).data[0, 0], [1 / 9, 2 / 9, 3 / 9])
+        q = tmp_path / "a.pbm"
+        q.write_bytes(b"P1\n3 1\n1#bit\n0 1\n")
+        assert read_watermark(q).bits.tolist() == [[1, 0, 1]]
+
+    def test_text_after_last_sample_ignored(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P2\n2 1\n9\n4 5 trailing 2x junk\n")
+        assert np.array_equal(read_image(p).data[0, 0], [4 / 9, 5 / 9])
+        q = tmp_path / "a.pbm"
+        q.write_bytes(b"P1\n2 1\n10 junk 7")
+        assert read_watermark(q).bits.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            (b"P2\n3 1\n9\n1 x 3\n", "sample 1 of 3"),
+            (b"P3\n2 1\n255\n1 2 3 4 5y 6\n", "sample 4 of 6"),
+            (b"P3\n1 1\n255\n1 2 300\n", "sample 2 of 3"),
+        ],
+    )
+    def test_bad_sample_is_named(self, tmp_path, content, where):
+        p = tmp_path / "bad"
+        p.write_bytes(content)
+        with pytest.raises(FormatError, match=where):
+            read_image(p)
+
+    @pytest.mark.parametrize(
+        "content", [b"P2\n2 2\n9\n1 2 3\n", b"P3\n1 1\n255\n1 2", b"P2\n1 1\n9\n  \n"]
+    )
+    def test_truncated_ascii_image(self, tmp_path, content):
+        p = tmp_path / "short"
+        p.write_bytes(content)
+        with pytest.raises(FormatError):
+            read_image(p)
+
+    @pytest.mark.parametrize("content", [b"P1\n4 2\n0110\n100", b"P1\n4 1\n0 1 2 0\n"])
+    def test_bad_p1_raster(self, tmp_path, content):
+        p = tmp_path / "bad.pbm"
+        p.write_bytes(content)
+        with pytest.raises(FormatError):
+            read_watermark(p)
+
+    @pytest.mark.parametrize("magic", [b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"])
+    def test_every_prefix_reads_or_raises_format_error(self, tmp_path, magic):
+        channels = 3 if magic in (b"P3", b"P6") else 1
+        maxval = 1 if magic in (b"P1", b"P4") else 200
+        samples = np.random.default_rng(1).integers(0, maxval + 1, (2, 3, channels))
+        full = _netpbm(magic, samples, maxval)
+        read = read_watermark if magic in (b"P1", b"P4") else read_image
+        p = tmp_path / "prefix"
+        for n in range(len(full) + 1):
+            p.write_bytes(full[:n])
+            try:
+                read(p)
+            except FormatError:
+                pass
+        p.write_bytes(full)
+        read(p)

@@ -294,3 +294,8 @@ class TestKeyFile:
         )
         with pytest.raises(FormatError, match="padding"):
             load_key(p)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            WatermarkKey(r=np.zeros(4), rows=2, cols=2, delta=delta)
