@@ -100,24 +100,31 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
+def _read_host(path):
+    """A colour host image: the mark lives in the luma of its JPEG-YCbCr."""
+    image = read_image(path)
+    if image.channels != 3:
+        raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
+    return image
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_embed(args) -> int:
-    host = read_image(args.host)
+    host = _read_host(args.host)
     wm = read_watermark(args.watermark)
     seed = args.seed if args.seed is not None else _fresh_seed()
     watermarked, key = embed(host, wm, seed=seed, delta=args.delta)
-    write_image(watermarked, args.out_image)
+    produced = write_image(watermarked, args.out_image)
     save_key(key, args.out_key)
-    produced = quantize(watermarked)
     print(f"psnr_db={_fmt_psnr(psnr(host, produced))} pearson={pearson(host, produced):.6f}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    image = read_image(args.image)
+    image = _read_host(args.image)
     key = load_key(args.key)
     recovered = extract(image, key)
     write_watermark(recovered, args.out_watermark)
@@ -198,7 +205,7 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         return BenchRow(path, scenario, param, _FAILED, _FAILED, _FAILED, _FAILED)
 
     try:
-        host = read_image(path)
+        host = _read_host(path)
         watermarked, key = embed(host, wm, seed=host_seed, delta=delta)
         # snap to the 8-bit grid: bench rows describe the file pipeline
         watermarked = quantize(watermarked)
@@ -270,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("embed", help="embed a watermark into a host image")
-    p.add_argument("host", help="host image (PPM)")
+    p.add_argument("host", help="host image (colour PPM)")
     p.add_argument("watermark", help="watermark (PBM or PGM)")
     p.add_argument("out_image", help="output watermarked image (PPM)")
     p.add_argument("out_key", help="output key file")

@@ -5,6 +5,11 @@ Y carries luminance, Cb/Cr carry chroma offset by 0.5.  The forward and
 backward matrices below are mutual inverses up to their 5-digit
 truncation; the backward transform clamps, since watermark perturbation
 can push samples marginally out of gamut.
+
+Each output plane is an explicit weighted sum of input planes, added left
+to right as numpy's einsum adds a contiguous input, less its zero terms
+(the Y offset among them), which move no value.  It is elementwise, so a
+strided view and its contiguous copy give equal bits.
 """
 
 from dataclasses import dataclass
@@ -54,27 +59,33 @@ class YCbCrImage:
         return self.y.shape[1]
 
 
-def _check_rgb(img: PlanarImage) -> None:
-    if img.channels != 3:
-        raise ValueError(f"color transform needs 3 channels, got {img.channels}")
+def _weighted(planes, weights, out=None) -> np.ndarray:
+    """``sum(w * p)`` over the planes, left to right, without zero terms."""
+    (p0, w0), *rest = [(p, w) for p, w in zip(planes, weights) if w]
+    out = np.multiply(p0, w0, out=out)
+    for p, w in rest:
+        out += p * w
+    return out
 
 
 def luma(img: PlanarImage) -> np.ndarray:
-    """The Y grid of :func:`rgb_to_jpeg_ycbcr` alone, summed in its order."""
-    _check_rgb(img)
-    r, g, b = img.data
-    return r * _FORWARD[0, 0] + g * _FORWARD[0, 1] + b * _FORWARD[0, 2]
+    """The Y grid of :func:`rgb_to_jpeg_ycbcr` alone."""
+    if img.channels != 3:
+        raise ValueError(f"color transform needs 3 channels, got {img.channels}")
+    return _weighted(img.data, _FORWARD[0])
 
 
 def rgb_to_jpeg_ycbcr(img: PlanarImage) -> YCbCrImage:
     """Forward transform: [Y, Cb, Cr] = offset + M @ [R, G, B]."""
-    _check_rgb(img)
-    ycc = np.einsum("ij,jhw->ihw", _FORWARD, img.data) + _OFFSET[:, None, None]
-    return YCbCrImage(ycc[0], ycc[1], ycc[2])
+    y = luma(img)
+    cb, cr = (_weighted(img.data, _FORWARD[i]) + _OFFSET[i] for i in (1, 2))
+    return YCbCrImage(y, cb, cr)
 
 
 def jpeg_ycbcr_to_rgb(img: YCbCrImage) -> PlanarImage:
     """Backward transform with clamping: [R, G, B] = N @ ([Y, Cb, Cr] - offset)."""
-    ycc = np.stack([img.y, img.cb, img.cr]) - _OFFSET[:, None, None]
-    rgb = np.einsum("ij,jhw->ihw", _BACKWARD, ycc)
-    return PlanarImage(np.clip(rgb, 0.0, 1.0))
+    planes = (img.y, img.cb - _OFFSET[1], img.cr - _OFFSET[2])
+    rgb = np.empty((3,) + img.y.shape)
+    for i in range(3):
+        _weighted(planes, _BACKWARD[i], out=rgb[i])
+    return PlanarImage(np.clip(rgb, 0.0, 1.0, out=rgb))

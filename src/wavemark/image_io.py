@@ -9,8 +9,9 @@ ASCII samples are decimal digits between whitespace, except that P1
 digits may run together.  Content after the last sample is ignored.
 Exactly one whitespace byte precedes a binary payload.
 
-Samples are held as floats in [0, 1]; a file sample ``v`` with maximum
-value ``maxval`` maps to ``v / maxval``.  Writing uses
+Samples are held as floats in [0, 1], one C-contiguous (height, width)
+plane per channel; a file sample ``v`` with maximum value ``maxval`` maps
+to ``v / maxval``.  Writing uses
 round-half-away-from-zero (see :func:`round_half_away`), the one rounding
 rule used throughout the toolkit.
 """
@@ -194,11 +195,12 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
 def read_image(path) -> PlanarImage:
     """Read a PGM (P2/P5) or PPM (P3/P6) file into a unit-range raster."""
     samples, maxval = _decode(path, (b"P2", b"P5", b"P3", b"P6"))
-    return PlanarImage(samples.transpose(2, 0, 1) / maxval)
+    return PlanarImage(np.divide(samples.transpose(2, 0, 1), maxval, order="C"))
 
 
-def write_image(img: PlanarImage, path, maxval: int = 255) -> None:
-    """Write a raster as binary PGM (1 channel) or PPM (3 channels).
+def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
+    """Write a raster as binary PGM (1 channel) or PPM (3 channels), and
+    return it as it reads back, which is ``quantize(img, maxval)``.
 
     Samples are encoded as ``round(s * maxval)`` with ties away from zero,
     clamped to [0, maxval].
@@ -208,11 +210,12 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> None:
     ints = _encode_samples(img.data, maxval)
     magic = b"P5" if img.channels == 1 else b"P6"
     sample = np.uint8 if maxval == 255 else np.dtype(">u2")  # 16-bit: MSB first
-    payload = ints.transpose(1, 2, 0).astype(sample).tobytes()  # (h, w, c)
+    payload = np.stack(ints, axis=-1, dtype=sample, casting="unsafe")  # (h, w, c)
     header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, maxval)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
+    return PlanarImage(np.divide(ints, float(maxval), out=ints))
 
 
 def _encode_samples(arr: np.ndarray, maxval: int) -> np.ndarray:

@@ -25,7 +25,9 @@ def psnr(a: PlanarImage, b: PlanarImage) -> float:
     identical.
     """
     _check_same_shape(a, b)
-    mse = np.mean(((a.data - b.data) * 255.0) ** 2)
+    err = np.subtract(a.data, b.data)
+    err *= 255.0
+    mse = np.mean(np.square(err, out=err))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / mse)

@@ -60,6 +60,8 @@ class WatermarkKey:
     offset: int = 0
 
     def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         r = np.asarray(self.r)
         if r.ndim != 1 or not np.isin(r, (0, 1)).all():
             raise ValueError("R must be a 1-D sequence of bits")

@@ -1,7 +1,11 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wavemark import read_image, read_watermark, write_image, write_watermark
+from wavemark import PlanarImage, read_image, read_watermark, write_image, write_watermark
 from wavemark.cli import main
 from conftest import make_mark
 
@@ -173,6 +177,47 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "delta" in err
 
+    @pytest.mark.parametrize("shape, r_hex", [("rows=-1 cols=-1", "00"), ("rows=0 cols=64", "")])
+    def test_key_shape_must_be_positive(self, workdir, capsys, shape, r_hex):
+        code, out, key = _embed(workdir)
+        lines = key.read_text().splitlines()
+        lines[1] = f"levels=3 subband=LL {shape} offset=0"
+        lines[4] = f"R={r_hex}"
+        key.write_text("\n".join(lines) + "\n")
+        rec = workdir / "rec.pbm"
+        assert main(["extract", str(out), str(key), str(rec)]) == 3
+        assert capsys.readouterr().err.startswith("error: format:")
+        assert not rec.exists()
+
+
+class TestGrayscaleHost:
+    """The mark lives in colour luma: a PGM host is a format error, not usage."""
+
+    @pytest.fixture
+    def gray(self, workdir):
+        path = workdir / "gray.pgm"
+        write_image(PlanarImage(read_image(workdir / "host.ppm").data[:1]), path)
+        return path
+
+    def test_embed(self, workdir, gray, capsys):
+        code = main(["embed", str(gray), str(workdir / "wm.pbm"),
+                     str(workdir / "o.ppm"), str(workdir / "k.txt"), "--seed", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:") and "P3/P6" in err
+
+    def test_extract(self, workdir, gray, capsys):
+        _, _, key = _embed(workdir)
+        capsys.readouterr()
+        assert main(["extract", str(gray), str(key), str(workdir / "rec.pbm")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:") and "P3/P6" in err
+
+    def test_bench_keeps_a_failed_row(self, workdir, gray, capsys):
+        assert main(["bench", str(gray), str(workdir / "wm.pbm"), "--seed", "1", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == [f"{gray},embed,-,FAILED,FAILED,FAILED,FAILED"]
+
 
 class TestAttack:
     def test_compress_zero_threshold_round_trips_bytes(self, workdir, capsys):
@@ -302,3 +347,26 @@ class TestBench:
         for t_row, c_row in zip(text_cells, csv_cells):
             # text rows split on whitespace; rect params contain no spaces
             assert t_row == [c for c in c_row if c != ""] or t_row == c_row
+
+
+def test_readme_round_trip(tmp_path, monkeypatch, capsys):
+    """The README's command-line round trip runs as written, every step exit 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    script = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S)[1]
+    monkeypatch.chdir(tmp_path)
+    steps = []
+    for line in script.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:2] == ["python", "-c"]:
+            exec(argv[2], {})
+        elif argv:
+            assert argv[0] == "wavemark"
+            assert main(argv[1:]) == 0, line
+        steps.append(argv[:2])
+    assert [s for s in steps if s] == [
+        ["wavemark", "synth"], ["python", "-c"], ["wavemark", "embed"],
+        ["wavemark", "attack"], ["wavemark", "attack"], ["wavemark", "extract"],
+        ["wavemark", "bench"],
+    ]
+    assert read_watermark("recovered.pbm").size == 15 * 64
+    assert "FAILED" not in capsys.readouterr().out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavemark import PlanarImage, jpeg_ycbcr_to_rgb, rgb_to_jpeg_ycbcr
+from wavemark import PlanarImage, jpeg_ycbcr_to_rgb, read_image, rgb_to_jpeg_ycbcr, write_image
 from wavemark.colorspace import YCbCrImage, luma
 
 
@@ -93,3 +93,51 @@ class TestRoundTrip:
         assert np.abs(ycc.cr - 0.5).max() < 1e-12
         back = jpeg_ycbcr_to_rgb(ycc)
         assert np.abs(back.data - img.data).max() < 5e-5
+
+
+class TestLayout:
+    """Results depend on the sample values only, never on the memory layout."""
+
+    @staticmethod
+    def _strided(size):
+        # (h, w, 3) memory seen as (3, h, w): the layout of an interleaved file
+        rgb = np.random.default_rng(size).random((size, size, 3))
+        return PlanarImage(rgb.transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("size", [8, 48, 128])
+    def test_forward_and_luma_ignore_layout(self, size):
+        view = self._strided(size)
+        assert not view.data.flags.c_contiguous
+        copy = PlanarImage(np.ascontiguousarray(view.data))
+        a, b = rgb_to_jpeg_ycbcr(view), rgb_to_jpeg_ycbcr(copy)
+        for grid_a, grid_b in ((a.y, b.y), (a.cb, b.cb), (a.cr, b.cr)):
+            assert np.array_equal(grid_a, grid_b)
+        assert np.array_equal(luma(view), luma(copy))
+        assert np.array_equal(luma(view), a.y)
+
+    def test_backward_ignores_layout(self):
+        ycc = rgb_to_jpeg_ycbcr(self._strided(48))
+        views = YCbCrImage(*(np.asfortranarray(g) for g in (ycc.y, ycc.cb, ycc.cr)))
+        assert np.array_equal(jpeg_ycbcr_to_rgb(views).data, jpeg_ycbcr_to_rgb(ycc).data)
+
+    def test_luma_of_a_read_file_is_the_forward_y(self, tmp_path):
+        path = tmp_path / "host.ppm"
+        write_image(self._strided(64), path)
+        img = read_image(path)
+        assert np.array_equal(luma(img), rgb_to_jpeg_ycbcr(img).y)
+
+
+def test_planes_are_summed_left_to_right():
+    # left to right, the order np.einsum takes on contiguous planes; the
+    # golden outputs in test_golden.py were recorded with it
+    img = PlanarImage(np.random.default_rng(7).random((3, 32, 32)))
+    r, g, b = img.data
+    ycc = rgb_to_jpeg_ycbcr(img)
+    assert np.array_equal(ycc.y, r * 0.299 + g * 0.587 + b * 0.114)
+    assert np.array_equal(ycc.cb, r * -0.16874 + g * -0.33126 + b * 0.5 + 0.5)
+    assert np.array_equal(ycc.cr, r * 0.5 + g * -0.41869 + b * -0.08131 + 0.5)
+    y, cb, cr = ycc.y, ycc.cb - 0.5, ycc.cr - 0.5
+    rgb = jpeg_ycbcr_to_rgb(ycc).data
+    assert np.array_equal(rgb[0], np.clip(y + cr * 1.402, 0.0, 1.0))
+    assert np.array_equal(rgb[1], np.clip(y + cb * -0.34414 + cr * -0.71414, 0.0, 1.0))
+    assert np.array_equal(rgb[2], np.clip(y + cb * 1.772, 0.0, 1.0))

@@ -16,6 +16,7 @@ from conftest import make_mark
 
 _BENCH_CSV_SHA256 = "1c1f813bd83a03737cc919e084a8fd75e0b3395903143041441ead9de9ba5f21"
 _MARKED_PPM_SHA256 = "ba2eaca8f42ea8ffa00cbd54e6764c0289c6e629edc2522d3beb568ec9ef7e69"
+_EMBED_REPORT = "psnr_db=44.1993 pearson=0.999774\n"
 # float64 bytes of a seeded 64x96 pyramid and of its thresholded inverse:
 # the lifting is elementwise, so these hold on any IEEE-754 machine
 _PYRAMID_SHA256 = "ce2fbcdadca7ac129ef657dcfd72a5663c6691b54b2dc1e841e754da4269f496"
@@ -48,6 +49,11 @@ def test_bench_csv_is_byte_identical(inputs, capsys):
 def test_marked_ppm_is_byte_identical(inputs):
     assert main(["embed", "noise.ppm", "wm.pbm", "marked.ppm", "marked.key", "--seed", "11"]) == 0
     assert _sha256((inputs / "marked.ppm").read_bytes()) == _MARKED_PPM_SHA256
+
+
+def test_embed_report_is_identical(inputs, capsys):
+    assert main(["embed", "noise.ppm", "wm.pbm", "marked.ppm", "marked.key", "--seed", "11"]) == 0
+    assert capsys.readouterr().out == _EMBED_REPORT
 
 
 def test_wavelet_coefficients_are_bit_identical():

@@ -315,3 +315,25 @@ class TestAsciiDecoding:
                 pass
         p.write_bytes(full)
         read(p)
+
+
+class TestPlanes:
+    """Decoded planes are C-contiguous, and write_image returns what reads back."""
+
+    @pytest.mark.parametrize("magic, channels", [(b"P2", 1), (b"P3", 3), (b"P5", 1), (b"P6", 3)])
+    def test_read_image_planes_are_contiguous(self, tmp_path, magic, channels):
+        samples = np.random.default_rng(3).integers(0, 256, (6, 10, channels))
+        path = tmp_path / "img"
+        path.write_bytes(_netpbm(magic, samples, 255))
+        img = read_image(path)
+        assert img.data.flags.c_contiguous
+        assert np.array_equal(img.data, samples.transpose(2, 0, 1) / 255)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_write_image_returns_the_image_as_read_back(self, tmp_path, maxval, channels):
+        img = PlanarImage(np.random.default_rng(maxval).random((channels, 12, 20)))
+        path = tmp_path / "img"
+        written = write_image(img, path, maxval)
+        assert np.array_equal(written.data, quantize(img, maxval).data)
+        assert np.array_equal(written.data, read_image(path).data)

@@ -299,3 +299,8 @@ class TestKeyFile:
     def test_delta_must_be_finite_and_positive(self, delta):
         with pytest.raises(ValueError, match="delta"):
             WatermarkKey(r=np.zeros(4), rows=2, cols=2, delta=delta)
+
+    @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, 4), (4, 0), (-2, 3)])
+    def test_shape_must_be_positive(self, rows, cols):
+        with pytest.raises(ValueError, match="rows and cols"):
+            WatermarkKey(r=np.zeros(max(rows * cols, 0)), rows=rows, cols=cols)
