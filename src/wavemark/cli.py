@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_image", help="output watermarked image (PPM)")
     p.add_argument("out_key", help="output key file")
     p.add_argument("--seed", type=int, default=None, help="64-bit key seed (default: random)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="quantization step (default 1/16)")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="quantization step (default 1/16, at least 2**-19)")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover a watermark using its key")

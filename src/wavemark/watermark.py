@@ -1,12 +1,20 @@
 """Keyed blind watermark embedding and extraction.
 
-The pipeline: convert the host to JPEG-YCbCr, decompose the Y channel
-into a 3-level pyramid, XOR-encrypt the watermark bits with a keyed
-random sequence, and store each encrypted bit in the parity of a
-quantized LL3 coefficient: c -> round(c / delta) forced to the bit's
-parity, rewritten as the nearest even/odd multiple of delta.  Extraction
-repeats the decomposition on the watermarked image alone and reads the
-parities back, so no host image is ever needed.
+Each watermark bit, XOR-encrypted with a keyed random sequence, is stored
+in the parity of a quantized LL3 coefficient of the host's JPEG-YCbCr
+luma: the quantizer index round(c / delta) of a coefficient c of the
+wrong parity moves one step toward c / delta, so c moves to the nearest
+multiple of delta whose index has the bit's parity, by at most delta.
+Extraction repeats the decomposition on the watermarked image alone and
+reads the parities back, so no host image is ever needed.
+
+Only luma changes, and every row of the backward colour matrix gives Y a
+weight of one, so the watermarked image is the host plus the luma change
+in each channel, clipped to [0, 1].  That change is the synthesis of the
+LL coefficient changes alone.  CDF 9/7 lifting is local, so both the
+analysis and the synthesis run on the top rows of the image that hold
+the mark's coefficients, plus a margin (see :func:`_mark_band`); below
+those rows the host is returned unchanged.
 
 A recovered bit survives any coefficient perturbation below delta / 2,
 the quantizer's decision-region half-width, which is what buys
@@ -18,14 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import YCbCrImage, jpeg_ycbcr_to_rgb, luma, rgb_to_jpeg_ycbcr
+from .colorspace import luma
 from .errors import CapacityError, FormatError
 from .image_io import BitMatrix, PlanarImage, round_half_away
-from .wavelet import dwt2_forward, dwt2_inverse, dwt2_ll
+from .wavelet import check_dimensions, dwt2_ll, dwt2_ll_inverse
 
 __all__ = [
     "DEFAULT_DELTA",
     "DEFAULT_LEVELS",
+    "MAX_LEVELS",
+    "MIN_DELTA",
     "WatermarkKey",
     "generate_r",
     "xor_bits",
@@ -37,6 +47,19 @@ __all__ = [
 
 DEFAULT_DELTA = 1.0 / 16.0
 DEFAULT_LEVELS = 3
+# A key may ask for any depth up to this; a 16-level transform already
+# needs both image dimensions divisible by 65536.
+MAX_LEVELS = 16
+# Luma lies in [0, 1] and one 1-D CDF 9/7 lowpass pass has absolute gain
+# below 2, so |LL_L| < 4**L.  At MAX_LEVELS this floor keeps every
+# quantizer index c / delta, and its neighbours, within 2**51 + 1, where
+# float64 holds them exactly and round_half_away's added half is exact too.
+MIN_DELTA = 2.0**-19
+# LL rows analysed and synthesised below the mark's last row.  Lifting
+# carries the fold at a band's bottom edge up by at most 3 LL rows in the
+# analysis and 2 in the synthesis (measured bit for bit at L = 1..6); one
+# more row keeps a spare.
+MARGIN = 4
 
 _KEY_MAGIC = "WMKEY1"
 _MASK64 = (1 << 64) - 1
@@ -72,10 +95,12 @@ class WatermarkKey:
             )
         if self.subband != "LL":
             raise ValueError(f"unsupported subband {self.subband!r}")
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
-        if self.levels < 1 or self.offset < 0:
-            raise ValueError("levels must be >= 1 and offset >= 0")
+        _check_delta(self.delta)
+        if not 1 <= self.levels <= MAX_LEVELS or self.offset < 0:
+            raise ValueError(
+                f"levels must lie in [1, {MAX_LEVELS}] and offset must be >= 0, "
+                f"got levels={self.levels} offset={self.offset}"
+            )
         object.__setattr__(self, "r", r.astype(np.uint8))
 
     @property
@@ -112,16 +137,53 @@ def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a ^ b
 
 
+def _check_delta(delta: float) -> None:
+    if not MIN_DELTA <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 2**-19, got {delta}")
+
+
 def _embed_parities(c: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarray:
     """Rewrite coefficients to the nearest multiple of delta whose
-    quantizer index has the requested parity."""
-    q = round_half_away(c / delta)
-    return (2.0 * np.floor(q / 2.0) + bits) * delta
+    quantizer index has the requested parity.
+
+    An index of the wrong parity steps one toward c / delta; on a tie,
+    where c / delta is that index exactly, it steps up.
+    """
+    x = c / delta
+    q = round_half_away(x)
+    q += np.where(q % 2 != bits, np.where(x >= q, 1.0, -1.0), 0.0)
+    return q * delta
 
 
 def _read_parities(c: np.ndarray, delta: float) -> np.ndarray:
     q = round_half_away(c / delta).astype(np.int64)
     return (q % 2).astype(np.uint8)
+
+
+def _mark_band(image: PlanarImage, levels: int, end: int) -> int:
+    """The image rows [0, band) whose analysis yields the first ``end``
+    LL_levels coefficients, in raster order, bit-identical to the whole
+    image's, and whose synthesis holds every sample that changing them
+    moves.
+
+    Raises unless the image's dimensions fit the transform and its LL
+    grid holds ``end`` coefficients.
+    """
+    check_dimensions(image.height, image.width, levels)
+    cols = image.width >> levels
+    capacity = (image.height >> levels) * cols
+    if end > capacity:
+        raise CapacityError(
+            f"the mark needs {end} coefficients but LL{levels} holds only {capacity}"
+        )
+    return min(image.height, (-(-end // cols) + MARGIN) << levels)
+
+
+def _mark_ll(image: PlanarImage, levels: int, end: int) -> np.ndarray:
+    """LL_levels of the luma of the image's rows [0, band), the band of
+    :func:`_mark_band`."""
+    band = _mark_band(image, levels, end)
+    return dwt2_ll(luma(PlanarImage(image.data[:, :band])), levels)
 
 
 def embed(
@@ -132,23 +194,19 @@ def embed(
     Returns the watermarked image and the key required for extraction.
     The watermark must fit: rows*cols <= (width/8) * (height/8).
     """
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    ycc = rgb_to_jpeg_ycbcr(host)
-    pyr = dwt2_forward(ycc.y, DEFAULT_LEVELS)
+    _check_delta(delta)
     n = wm.size
-    capacity = pyr.ll.size
-    if n > capacity:
-        raise CapacityError(
-            f"watermark has {n} bits but LL{DEFAULT_LEVELS} holds only "
-            f"{capacity} coefficients"
-        )
+    ll = _mark_ll(host, DEFAULT_LEVELS, n)
     r = generate_r(n, seed)
     encrypted = xor_bits(wm.bits.reshape(-1), r)
-    flat = pyr.ll.reshape(-1)
-    flat[:n] = _embed_parities(flat[:n], encrypted, delta)
-    y2 = dwt2_inverse(pyr)
-    out = jpeg_ycbcr_to_rgb(YCbCrImage(y=y2, cb=ycc.cb, cr=ycc.cr))
+    c = ll.reshape(-1)[:n]
+    change = np.zeros_like(ll)
+    change.reshape(-1)[:n] = _embed_parities(c, encrypted, delta) - c
+    dy = dwt2_ll_inverse(change, DEFAULT_LEVELS)
+    out = host.data.copy()
+    band = out[:, : dy.shape[0]]
+    band += dy
+    np.clip(band, 0.0, 1.0, out=band)
     key = WatermarkKey(
         r=r,
         rows=wm.rows,
@@ -159,7 +217,7 @@ def embed(
         seed=seed,
         offset=0,
     )
-    return out, key
+    return PlanarImage(out), key
 
 
 def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
@@ -168,14 +226,9 @@ def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
     Blind: only the watermarked image and the key are consulted, and of
     the image only the LL subband of its luma.
     """
-    ll = dwt2_ll(luma(watermarked), key.levels)
-    n = key.n
-    if key.offset + n > ll.size:
-        raise CapacityError(
-            f"key addresses {key.offset + n} coefficients but "
-            f"LL{key.levels} holds only {ll.size}"
-        )
-    c = ll.reshape(-1)[key.offset : key.offset + n]
+    end = key.offset + key.n
+    ll = _mark_ll(watermarked, key.levels, end)
+    c = ll.reshape(-1)[key.offset : end]
     encrypted = _read_parities(c, key.delta)
     bits = xor_bits(encrypted, key.r)
     return BitMatrix(bits.reshape(key.rows, key.cols))

@@ -13,7 +13,9 @@ columns alike, into two contiguous halves and lifts them in place
 (Daubechies & Sweldens, "Factoring wavelet transforms into lifting
 steps", 1998); nothing is transposed.  A level is one [[LL, HL], [LH,
 HH]] grid whose bands the pyramid holds as views.  :func:`dwt2_ll` runs
-the same level step on the lowpass half only, for readers of LL_L.
+the same level step on the lowpass half only, for readers of LL_L, and
+:func:`dwt2_ll_inverse` synthesises an LL_L grid whose detail bands are
+all zero, for writers of LL_L.
 
 Normalization puts gain K on the lowpass and 1/K on the highpass, so one
 1-D pass has DC gain sqrt(2) and an L-level 2-D pyramid satisfies
@@ -30,9 +32,11 @@ from .errors import DimensionError
 __all__ = [
     "SubbandPyramid",
     "DetailBands",
+    "check_dimensions",
     "dwt2_forward",
     "dwt2_ll",
     "dwt2_inverse",
+    "dwt2_ll_inverse",
     "threshold_details",
     "ll_synthesis_atom",
 ]
@@ -158,13 +162,18 @@ def _forward_level(x: np.ndarray, ll_only: bool = False) -> np.ndarray:
     return grid
 
 
-def _inverse_level(ll: np.ndarray, bands: DetailBands) -> np.ndarray:
-    """Exact reversal of :func:`_forward_level`: columns, then rows."""
+def _inverse_level(ll: np.ndarray, bands: DetailBands | None) -> np.ndarray:
+    """Exact reversal of :func:`_forward_level`: columns, then rows.
+
+    ``bands=None`` stands for three all-zero detail grids."""
     h, w = ll.shape
     grid = np.empty((2, 2, h, w))
     rows = np.empty((2, 2 * h, w))
-    grid[0, 0], grid[0, 1] = ll, bands.hl
-    grid[1, 0], grid[1, 1] = bands.lh, bands.hh
+    grid[0, 0] = ll
+    if bands is None:
+        grid[0, 1] = grid[1] = 0.0
+    else:
+        grid[0, 1], grid[1, 0], grid[1, 1] = bands.hl, bands.lh, bands.hh
     _lift(grid[0], grid[1], free=rows, inverse=True)
     rows[:, 0::2] = grid[0]
     rows[:, 1::2] = grid[1]
@@ -175,19 +184,24 @@ def _inverse_level(ll: np.ndarray, bands: DetailBands) -> np.ndarray:
     return out
 
 
-def _check_grid(channel, levels: int) -> np.ndarray:
+def check_dimensions(height: int, width: int, levels: int) -> None:
+    """Raise unless an L-level transform fits a height x width grid: both
+    dimensions divisible by 2**levels."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    mult = 1 << levels
+    if height % mult or width % mult:
+        raise DimensionError(
+            f"grid dimensions {width}x{height} must be divisible by {mult} "
+            f"for {levels} levels"
+        )
+
+
+def _check_grid(channel, levels: int) -> np.ndarray:
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got shape {channel.shape}")
-    h, w = channel.shape
-    mult = 1 << levels
-    if h % mult or w % mult:
-        raise DimensionError(
-            f"grid dimensions {w}x{h} must be divisible by {mult} "
-            f"for {levels} levels"
-        )
+    check_dimensions(*channel.shape, levels)
     return channel
 
 
@@ -231,6 +245,22 @@ def dwt2_inverse(pyr: SubbandPyramid) -> np.ndarray:
     return cur
 
 
+def dwt2_ll_inverse(ll: np.ndarray, levels: int) -> np.ndarray:
+    """:func:`dwt2_inverse` of an L-level pyramid whose only nonzero band
+    is ``ll``, bit for bit, without building the zero detail bands.
+
+    Lifting is local, so the top rows of the result depend only on the top
+    rows of ``ll``: a caller may pass a band of LL rows and keep the rows
+    of the result that lie far enough from the band's bottom edge.
+    """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    cur = np.asarray(ll, dtype=np.float64)
+    for _ in range(levels):
+        cur = _inverse_level(cur, None)
+    return cur
+
+
 def threshold_details(pyr: SubbandPyramid, t: float) -> SubbandPyramid:
     """Hard-threshold the detail subbands: |c| < t becomes 0, LL untouched."""
     if not t >= 0.0:
@@ -260,20 +290,10 @@ def ll_synthesis_atom(
     coefficient's synthesis footprint (boundary folding included) and its
     squared sum is the atom energy.
     """
+    check_dimensions(base_height, base_width, levels)
     h, w = base_height >> levels, base_width >> levels
     if not (0 <= row < h and 0 <= col < w):
         raise ValueError(f"LL index ({row}, {col}) outside {h}x{w} grid")
     ll = np.zeros((h, w))
     ll[row, col] = 1.0
-    details = tuple(
-        DetailBands(
-            lh=np.zeros((base_height >> lvl, base_width >> lvl)),
-            hl=np.zeros((base_height >> lvl, base_width >> lvl)),
-            hh=np.zeros((base_height >> lvl, base_width >> lvl)),
-        )
-        for lvl in range(1, levels + 1)
-    )
-    pyr = SubbandPyramid(
-        base_height=base_height, base_width=base_width, ll=ll, details=details
-    )
-    return dwt2_inverse(pyr)
+    return dwt2_ll_inverse(ll, levels)

@@ -1,0 +1,26 @@
+"""The benchmark's output checks run in Tier-1.
+
+``perfbench/run.py --smoke`` embeds and extracts at 64x64 and checks every
+output (exit codes, the marked file's shape and printed PSNR, bit-exact
+clean extraction), so a change that breaks what the benchmark measures
+fails here, not only when the benchmark is run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_roundtrip_smoke_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "roundtrip-1024",
+         "--seed", "1", "--seconds", "0.5", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout.strip().splitlines()[-2]
+    assert result["failed"] == 0 and result["attempted"] >= 1

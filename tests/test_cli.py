@@ -1,5 +1,6 @@
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,62 @@ class TestHostileInputs:
         assert main(["extract", str(out), str(key), str(rec)]) == 3
         assert capsys.readouterr().err.startswith("error: format:")
         assert not rec.exists()
+
+
+    def _extract_with(self, workdir, line, text):
+        _, out, key = _embed(workdir)
+        lines = key.read_text().splitlines()
+        lines[line] = text
+        key.write_text("\n".join(lines) + "\n")
+        rec = workdir / "rec.pbm"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["extract", str(out), str(key), str(rec)])
+        assert not caught, [str(w.message) for w in caught]
+        return code, rec
+
+    @pytest.mark.parametrize("levels", [0, 17, 99999999999])
+    def test_unbounded_levels_in_key(self, workdir, capsys, levels):
+        code, rec = self._extract_with(
+            workdir, 1, f"levels={levels} subband=LL rows=15 cols=64 offset=0")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:") and "levels" in err
+        assert not rec.exists()
+
+    def test_levels_deeper_than_the_image(self, workdir, capsys):
+        # 16 levels need dimensions divisible by 65536; the 256x256 host
+        # is rejected before any band is sized
+        code, rec = self._extract_with(
+            workdir, 1, "levels=16 subband=LL rows=15 cols=64 offset=0")
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: dimension:")
+
+    @pytest.mark.parametrize("delta", ["1e-320", "1e-300", "1e-06"])
+    def test_tiny_delta_in_key(self, workdir, capsys, delta):
+        code, rec = self._extract_with(workdir, 2, f"delta={delta}")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:") and "delta" in err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("delta", ["1e-300", "1e-320"])
+    def test_tiny_delta_flag(self, workdir, capsys, delta):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = _embed(workdir, "--delta", delta)
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "delta" in err
+
+    def test_delta_at_the_floor(self, workdir):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, key = _embed(workdir, "--delta", repr(2.0**-19))
+            assert code == 0
+            assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 0
+        assert not caught, [str(w.message) for w in caught]
 
 
 class TestGrayscaleHost:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wavemark import (
     BitMatrix,
     CapacityError,
     FormatError,
+    PlanarImage,
     WatermarkKey,
     ber,
     embed,
@@ -19,8 +21,22 @@ from wavemark import (
     synthesize_host,
     xor_bits,
 )
-from wavemark.watermark import _embed_parities, _read_parities
-from wavemark.wavelet import ll_synthesis_atom
+from wavemark.colorspace import luma
+from wavemark.watermark import (
+    MAX_LEVELS,
+    MIN_DELTA,
+    _embed_parities,
+    _mark_band,
+    _mark_ll,
+    _read_parities,
+)
+from wavemark.wavelet import (
+    DetailBands,
+    SubbandPyramid,
+    dwt2_inverse,
+    dwt2_ll,
+    ll_synthesis_atom,
+)
 from conftest import make_mark
 
 _MASK64 = (1 << 64) - 1
@@ -129,6 +145,99 @@ class TestQuantizer:
         for amp in (0.1, 0.25, 0.49):
             noise = rng.uniform(-amp * delta, amp * delta, 4096)
             assert np.array_equal(_read_parities(embedded + noise, delta), bits)
+
+    def test_distortion_is_at_most_delta_and_nearest(self):
+        rng = np.random.default_rng(2)
+        delta = 1 / 16
+        c = rng.uniform(-8.0, 8.0, 4096)
+        for bit in (0, 1):
+            bits = np.full(c.size, bit, dtype=np.uint8)
+            out = _embed_parities(c, bits, delta)
+            assert np.array_equal(_read_parities(out, delta), bits)
+            assert np.abs(out - c).max() <= delta
+            # brute force: the nearest of the indices with the bit's parity
+            base = np.floor(c / delta)
+            cands = base[:, None] + np.arange(-2, 4)
+            cands = np.where(cands % 2 == bit, cands, np.inf)
+            best = cands[np.arange(c.size), np.argmin(np.abs(cands * delta - c[:, None]), axis=1)]
+            assert np.array_equal(out, best * delta)
+
+    def test_picks_the_nearer_candidate(self):
+        # index 6 (even) has the wrong parity for bit 1: c/delta = 5.8 lies
+        # nearer 5 than 7, and 6.2 nearer 7 than 5; mirrored for negatives
+        delta = 1 / 16
+        c = np.array([5.8, 6.2, -5.8, -6.2]) * delta
+        out = _embed_parities(c, np.ones(4, dtype=np.uint8), delta)
+        assert list(out / delta) == [5.0, 7.0, -5.0, -7.0]
+
+    def test_tie_steps_up(self):
+        delta = 1 / 16
+        c = np.array([6.0, -6.0, 0.0]) * delta
+        out = _embed_parities(c, np.ones(3, dtype=np.uint8), delta)
+        assert list(out / delta) == [7.0, -5.0, 1.0]
+
+
+def _full_frame_embed(host, wm, seed, delta):
+    """The reference embed: the full-frame LL3 change synthesised through
+    a whole zero-detail pyramid and added to every channel."""
+    ll = dwt2_ll(luma(host), 3)
+    n = wm.size
+    c = ll.reshape(-1)[:n]
+    change = np.zeros_like(ll)
+    bits = xor_bits(wm.bits.reshape(-1), generate_r(n, seed))
+    change.reshape(-1)[:n] = _embed_parities(c, bits, delta) - c
+    h, w = host.height, host.width
+    zero = lambda lvl: np.zeros((h >> lvl, w >> lvl))
+    details = tuple(DetailBands(zero(lvl), zero(lvl), zero(lvl)) for lvl in (1, 2, 3))
+    dy = dwt2_inverse(SubbandPyramid(h, w, change, details))
+    return np.clip(host.data + dy, 0.0, 1.0)
+
+
+class TestBandLimited:
+    """Embed and extract analyse and synthesise only the mark's top rows;
+    each result must equal the full-frame computation bit for bit."""
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
+    def test_extract_matches_full_frame(self, levels):
+        unit = 1 << levels
+        rng = np.random.default_rng(levels)
+        # widths that are not powers of two, and a height whose LL grid
+        # leaves room below the band
+        for hm, wm_ in ((24, 3), (20, 5), (16, 7)):
+            host = PlanarImage(rng.random((3, hm * unit, wm_ * unit)))
+            full = dwt2_ll(luma(host), levels).reshape(-1)
+            cols = wm_
+            for offset, n in ((0, 1), (0, 2 * cols + 1), (cols + 2, 3 * cols), (5, full.size - 5)):
+                end = offset + n
+                got = _mark_ll(host, levels, end).reshape(-1)[:end]
+                assert np.array_equal(got, full[:end]), (levels, hm, wm_, offset, n)
+                key = WatermarkKey(r=generate_r(n, 9), rows=1, cols=n, levels=levels, offset=offset)
+                want = xor_bits(_read_parities(full[offset:end], key.delta), key.r)
+                assert np.array_equal(extract(host, key).bits.reshape(-1), want)
+            assert _mark_band(host, levels, cols) < host.height
+
+    @pytest.mark.parametrize(
+        "kind, size, shape",
+        [("noise", 512, (15, 64)), ("checker", 128, (4, 16)), ("gradient", 256, (3, 32)),
+         ("noise", 64, (8, 8))],
+    )
+    def test_embed_matches_full_frame(self, kind, size, shape):
+        host = synthesize_host(kind, size, seed=4)
+        wm = make_mark(*shape)
+        out, _ = embed(host, wm, seed=21, delta=1 / 16)
+        assert np.array_equal(out.data, _full_frame_embed(host, wm, 21, 1 / 16))
+        band = _mark_band(host, 3, wm.size)
+        assert np.array_equal(out.data[:, band:], host.data[:, band:])
+        if size >= 128:
+            assert band < size
+
+    def test_rectangular_host(self):
+        rng = np.random.default_rng(8)
+        host = PlanarImage(rng.random((3, 24 * 8, 13 * 8)))
+        wm = make_mark(5, 13)
+        out, key = embed(host, wm, seed=5)
+        assert np.array_equal(out.data, _full_frame_embed(host, wm, 5, key.delta))
+        assert np.array_equal(extract(out, key).bits, wm.bits)
 
 
 class TestEmbedExtract:
@@ -299,6 +408,30 @@ class TestKeyFile:
     def test_delta_must_be_finite_and_positive(self, delta):
         with pytest.raises(ValueError, match="delta"):
             WatermarkKey(r=np.zeros(4), rows=2, cols=2, delta=delta)
+
+    @pytest.mark.parametrize("delta", [MIN_DELTA / 2, 1e-300, 1e-320])
+    def test_delta_floor(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            WatermarkKey(r=np.zeros(4), rows=2, cols=2, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            embed(synthesize_host("noise", 64), make_mark(2, 2), seed=0, delta=delta)
+
+    def test_delta_floor_keeps_indices_exact(self):
+        # the largest LL the deepest transform can hold, read at the
+        # smallest step: no warning, and an exact integer index
+        top = 4.0**MAX_LEVELS
+        c = np.array([top, -top, top, -top, top - MIN_DELTA, -top + MIN_DELTA])
+        bits = np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _embed_parities(c, bits, MIN_DELTA)
+            assert np.array_equal(_read_parities(out, MIN_DELTA), bits)
+        assert np.abs(out - c).max() <= MIN_DELTA
+
+    @pytest.mark.parametrize("levels", [0, MAX_LEVELS + 1, 99999999999])
+    def test_levels_bounded(self, levels):
+        with pytest.raises(ValueError, match="levels"):
+            WatermarkKey(r=np.zeros(4), rows=2, cols=2, levels=levels)
 
     @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, 4), (4, 0), (-2, 3)])
     def test_shape_must_be_positive(self, rows, cols):

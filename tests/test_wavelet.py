@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_details
-from wavemark.wavelet import DetailBands, SubbandPyramid, dwt2_ll, ll_synthesis_atom
+from wavemark.wavelet import (
+    DetailBands,
+    SubbandPyramid,
+    dwt2_ll,
+    dwt2_ll_inverse,
+    ll_synthesis_atom,
+)
 
 # Independent convolution oracle: published CDF 9/7 analysis taps
 # (12-digit literature values), rescaled to this implementation's
@@ -213,6 +219,20 @@ class TestLLOnly:
         assert np.array_equal(x, before)
         with pytest.raises(DimensionError):
             dwt2_ll(x, 4)
+
+
+class TestLLInverse:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_matches_zero_detail_inverse_bit_for_bit(self, levels):
+        unit = 1 << levels
+        h, w = 3 * unit, 5 * unit
+        ll = np.random.default_rng(levels).standard_normal((3, 5))
+        want = dwt2_inverse(_zero_pyramid(h, w, levels, ll=ll))
+        assert np.array_equal(dwt2_ll_inverse(ll, levels), want)
+
+    def test_atom_checks_dimensions(self):
+        with pytest.raises(DimensionError):
+            ll_synthesis_atom(100, 96, 3, 0, 0)
 
 
 class TestThreshold:
