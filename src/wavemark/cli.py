@@ -5,6 +5,12 @@ Subcommands wire the pipeline end to end: ``synth`` makes a host,
 mark, and ``bench`` runs the whole robustness table (clean, compression
 thresholds, crops) over one or more hosts.
 
+``embed`` and ``extract`` keep the host as its file's integer samples;
+only the mark's band of rows becomes a float raster for the library
+``embed`` or ``extract``.  ``embed`` always writes maxval 255: rows below
+the band are the host's samples, copied, or requantized when its maxval
+is not 255.  Its report line is computed from exact integer sums.
+
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr.  Exit codes: 0 success, 2 usage, 3 data/format,
 4 capacity/dimension.
@@ -20,15 +26,27 @@ from dataclasses import dataclass
 from .attacks import CropRect, crop, wavelet_compress, wavelet_compressor
 from .errors import CapacityError, DimensionError, FormatError, WavemarkError
 from .image_io import (
+    _read_samples,
+    _to_image,
+    _write_8bit,
     quantize,
     read_image,
     read_watermark,
     write_image,
     write_watermark,
 )
-from .metrics import ber, nc, pearson, psnr
+from .metrics import _written_metrics, ber, nc, pearson, psnr
 from .synth import KINDS, synthesize_host
-from .watermark import DEFAULT_DELTA, embed, extract, load_key, save_key
+from .watermark import (
+    DEFAULT_DELTA,
+    DEFAULT_LEVELS,
+    _check_delta,
+    _mark_band,
+    embed,
+    extract,
+    load_key,
+    save_key,
+)
 
 __all__ = ["main", "BenchRow", "run_bench", "format_text", "format_csv"]
 
@@ -100,12 +118,17 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
-def _read_host(path):
-    """A colour host image: the mark lives in the luma of its JPEG-YCbCr."""
-    image = read_image(path)
-    if image.channels != 3:
+def _require_colour(path, channels: int) -> None:
+    """The mark lives in the luma of a colour host's JPEG-YCbCr."""
+    if channels != 3:
         raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
-    return image
+
+
+def _read_host(path):
+    """A colour host's integer samples, shaped (height, width, 3), and its maxval."""
+    samples, maxval = _read_samples(path)
+    _require_colour(path, samples.shape[2])
+    return samples, maxval
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +136,28 @@ def _read_host(path):
 
 
 def cmd_embed(args) -> int:
-    host = _read_host(args.host)
+    host, maxval = _read_host(args.host)
     wm = read_watermark(args.watermark)
+    try:
+        _check_delta(args.delta, DEFAULT_LEVELS)
+    except ValueError as exc:
+        raise UsageError(f"--delta: {exc}") from None
+    band = _mark_band(*host.shape[:2], DEFAULT_LEVELS, wm.size)
     seed = args.seed if args.seed is not None else _fresh_seed()
-    watermarked, key = embed(host, wm, seed=seed, delta=args.delta)
-    produced = write_image(watermarked, args.out_image)
+    # the band is its own mark band, so this is the library embed
+    marked, key = embed(_to_image(host[:band], maxval), wm, seed=seed, delta=args.delta)
+    out = _write_8bit(args.out_image, host, maxval, marked)
     save_key(key, args.out_key)
-    print(f"psnr_db={_fmt_psnr(psnr(host, produced))} pearson={pearson(host, produced):.6f}")
+    psnr_db, r = _written_metrics(host, maxval, out)
+    print(f"psnr_db={_fmt_psnr(psnr_db)} pearson={r:.6f}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    image = _read_host(args.image)
+    image, maxval = _read_host(args.image)
     key = load_key(args.key)
-    recovered = extract(image, key)
+    band = _mark_band(*image.shape[:2], key.levels, key.offset + key.n)
+    recovered = extract(_to_image(image[:band], maxval), key)
     write_watermark(recovered, args.out_watermark)
     return 0
 
@@ -205,7 +236,8 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         return BenchRow(path, scenario, param, _FAILED, _FAILED, _FAILED, _FAILED)
 
     try:
-        host = _read_host(path)
+        host = read_image(path)
+        _require_colour(path, host.channels)
         watermarked, key = embed(host, wm, seed=host_seed, delta=delta)
         # snap to the 8-bit grid: bench rows describe the file pipeline
         watermarked = quantize(watermarked)
@@ -282,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_image", help="output watermarked image (PPM)")
     p.add_argument("out_key", help="output key file")
     p.add_argument("--seed", type=int, default=None, help="64-bit key seed (default: random)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="quantization step (default 1/16, at least 2**-19)")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="quantization step (default 1/16, in [2**-19, 128))")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover a watermark using its key")

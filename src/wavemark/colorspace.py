@@ -68,11 +68,13 @@ def _weighted(planes, weights, out=None) -> np.ndarray:
     return out
 
 
-def luma(img: PlanarImage) -> np.ndarray:
-    """The Y grid of :func:`rgb_to_jpeg_ycbcr` alone."""
-    if img.channels != 3:
-        raise ValueError(f"color transform needs 3 channels, got {img.channels}")
-    return _weighted(img.data, _FORWARD[0])
+def luma(img: PlanarImage | np.ndarray) -> np.ndarray:
+    """The Y grid of :func:`rgb_to_jpeg_ycbcr` alone, of an image or of its
+    (3, height, width) planes, which are then taken as valid."""
+    planes = img.data if isinstance(img, PlanarImage) else img
+    if planes.shape[0] != 3:
+        raise ValueError(f"color transform needs 3 channels, got {planes.shape[0]}")
+    return _weighted(planes, _FORWARD[0])
 
 
 def rgb_to_jpeg_ycbcr(img: PlanarImage) -> YCbCrImage:

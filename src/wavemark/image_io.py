@@ -14,6 +14,13 @@ plane per channel; a file sample ``v`` with maximum value ``maxval`` maps
 to ``v / maxval``.  Writing uses
 round-half-away-from-zero (see :func:`round_half_away`), the one rounding
 rule used throughout the toolkit.
+
+The command line's ``embed`` and ``extract`` keep a host as the integer
+samples of :func:`_read_samples` and turn only the mark's band of rows
+into a raster.  ``embed`` always writes maxval 255 (:func:`_write_8bit`):
+the band is encoded as :func:`write_image` encodes it, and the rows below
+it are the host's samples, copied, or requantized when its maxval is not
+255, with the very bytes :func:`write_image` writes for them.
 """
 
 import re
@@ -194,7 +201,18 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
 
 def read_image(path) -> PlanarImage:
     """Read a PGM (P2/P5) or PPM (P3/P6) file into a unit-range raster."""
-    samples, maxval = _decode(path, (b"P2", b"P5", b"P3", b"P6"))
+    return _to_image(*_read_samples(path))
+
+
+def _read_samples(path) -> tuple[np.ndarray, int]:
+    """The integer samples of a PGM or PPM file, shaped (height, width,
+    channels), and its maxval."""
+    return _decode(path, (b"P2", b"P5", b"P3", b"P6"))
+
+
+def _to_image(samples: np.ndarray, maxval: int) -> PlanarImage:
+    """(height, width, channels) integer samples as a raster of
+    ``samples / maxval``."""
     return PlanarImage(np.divide(samples.transpose(2, 0, 1), maxval, order="C"))
 
 
@@ -208,14 +226,29 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
     ints = _encode_samples(img.data, maxval)
-    magic = b"P5" if img.channels == 1 else b"P6"
     sample = np.uint8 if maxval == 255 else np.dtype(">u2")  # 16-bit: MSB first
-    payload = np.stack(ints, axis=-1, dtype=sample, casting="unsafe")  # (h, w, c)
-    header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, maxval)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    _write_samples(path, np.stack(ints, axis=-1, dtype=sample, casting="unsafe"), maxval)
     return PlanarImage(np.divide(ints, float(maxval), out=ints))
+
+
+def _write_8bit(path, samples: np.ndarray, maxval: int, top: PlanarImage) -> np.ndarray:
+    """Write ``samples / maxval`` with its top rows replaced by ``top`` as
+    binary 8-bit PGM or PPM, the bytes :func:`write_image` writes for that
+    raster, and return them, shaped (height, width, channels)."""
+    out = _to_8bit(samples, maxval)
+    out[: top.height] = _encode_samples(top.data, 255).transpose(1, 2, 0)
+    _write_samples(path, out, 255)
+    return out
+
+
+def _write_samples(path, samples: np.ndarray, maxval: int) -> None:
+    """Write C-contiguous (height, width, channels) samples, already of the
+    file's sample type, as binary PGM (1 channel) or PPM (3 channels)."""
+    height, width, channels = samples.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n%d\n" % (magic, width, height, maxval))
+        fh.write(samples)
 
 
 def _encode_samples(arr: np.ndarray, maxval: int) -> np.ndarray:
@@ -225,6 +258,16 @@ def _encode_samples(arr: np.ndarray, maxval: int) -> np.ndarray:
     out += 0.5
     np.floor(out, out=out)
     return np.clip(out, 0.0, maxval, out=out)
+
+
+def _to_8bit(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """A new uint8 array of the bytes :func:`write_image` writes for
+    ``samples / maxval``."""
+    if maxval == 255:  # the encoding is the identity on the 255 grid
+        return samples.astype(np.uint8)
+    # the float path's operations on the same values, once per level
+    lut = _encode_samples(np.arange(maxval + 1) / maxval, 255).astype(np.uint8)
+    return lut[samples]
 
 
 def quantize(img: PlanarImage, maxval: int = 255) -> PlanarImage:

@@ -8,8 +8,8 @@ from .image_io import BitMatrix, PlanarImage
 
 __all__ = ["psnr", "pearson", "nc", "ber"]
 
-# samples per block in pearson: the two centred blocks fit in a 2 MiB L2
-# cache, so each sample is read from memory once
+# samples per block: two float64 blocks fit in a 2 MiB L2 cache, so each
+# sample is read from memory once; and 2**15 * 65535**2 < 2**53
 _BLOCK = 1 << 15
 
 
@@ -49,6 +49,32 @@ def pearson(a: PlanarImage, b: PlanarImage) -> float:
         syy += np.einsum("i,i", yc, yc)
     r = sxy / math.sqrt(sxx * syy)
     return float(min(max(r, -1.0), 1.0))
+
+
+def _written_metrics(host: np.ndarray, maxval: int, out: np.ndarray) -> tuple[float, float]:
+    """:func:`psnr` and :func:`pearson` of ``host / maxval`` against
+    ``out / 255``, two integer sample arrays of one shape, from exact sums.
+
+    Each block's sums are integers below 2**53, which float64 holds exactly
+    in any order of addition, and Python ints add the blocks up.  Pearson
+    does not depend on scale, so it reads the integers as they are.
+    """
+    xs, ys = host.reshape(-1), out.reshape(-1)
+    sx = sy = sxx = syy = sxy = 0
+    for i in range(0, xs.size, _BLOCK):
+        x = xs[i : i + _BLOCK].astype(np.float64)
+        y = ys[i : i + _BLOCK].astype(np.float64)
+        sx, sy = sx + int(x.sum()), sy + int(y.sum())
+        sxx, syy, sxy = sxx + int(x @ x), syy + int(y @ y), sxy + int(x @ y)
+    n = xs.size
+    # sum((255 x - maxval y)**2): the squared error on the 255 scale, times maxval**2
+    sse = 255**2 * sxx - 2 * 255 * maxval * sxy + maxval**2 * syy
+    psnr_db = math.inf if sse == 0 else 10.0 * math.log10(255**2 * n * maxval**2 / sse)
+    vx, vy = n * sxx - sx * sx, n * syy - sy * sy
+    if vx == 0 or vy == 0:
+        raise ValueError("correlation undefined for a constant image")
+    r = (n * sxy - sx * sy) / math.sqrt(vx * vy)
+    return psnr_db, min(max(r, -1.0), 1.0)
 
 
 def nc(w: BitMatrix, w2: BitMatrix) -> float:

@@ -21,7 +21,6 @@ the quantizer's decision-region half-width, which is what buys
 robustness against compression and 8-bit file round trips.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,8 @@ MAX_LEVELS = 16
 # below 2, so |LL_L| < 4**L.  At MAX_LEVELS this floor keeps every
 # quantizer index c / delta, and its neighbours, within 2**51 + 1, where
 # float64 holds them exactly and round_half_away's added half is exact too.
+# From 2 * 4**L up, every coefficient falls in bin 0, so that bounds delta
+# from above (see _check_delta).
 MIN_DELTA = 2.0**-19
 # LL rows analysed and synthesised below the mark's last row.  Lifting
 # carries the fold at a band's bottom edge up by at most 3 LL rows in the
@@ -95,12 +96,12 @@ class WatermarkKey:
             )
         if self.subband != "LL":
             raise ValueError(f"unsupported subband {self.subband!r}")
-        _check_delta(self.delta)
         if not 1 <= self.levels <= MAX_LEVELS or self.offset < 0:
             raise ValueError(
                 f"levels must lie in [1, {MAX_LEVELS}] and offset must be >= 0, "
                 f"got levels={self.levels} offset={self.offset}"
             )
+        _check_delta(self.delta, self.levels)
         object.__setattr__(self, "r", r.astype(np.uint8))
 
     @property
@@ -137,9 +138,12 @@ def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a ^ b
 
 
-def _check_delta(delta: float) -> None:
-    if not MIN_DELTA <= delta < math.inf:
-        raise ValueError(f"delta must be finite and >= 2**-19, got {delta}")
+def _check_delta(delta: float, levels: int) -> None:
+    """Raise unless ``MIN_DELTA <= delta < 2 * 4**levels``: at or above the
+    top, every LL_levels coefficient lies in bin 0 and no mark survives."""
+    top = 2 * 4**levels
+    if not MIN_DELTA <= delta < top:
+        raise ValueError(f"delta must lie in [2**-19, {top}) for {levels} levels, got {delta}")
 
 
 def _embed_parities(c: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarray:
@@ -160,30 +164,30 @@ def _read_parities(c: np.ndarray, delta: float) -> np.ndarray:
     return (q % 2).astype(np.uint8)
 
 
-def _mark_band(image: PlanarImage, levels: int, end: int) -> int:
-    """The image rows [0, band) whose analysis yields the first ``end``
-    LL_levels coefficients, in raster order, bit-identical to the whole
-    image's, and whose synthesis holds every sample that changing them
-    moves.
+def _mark_band(height: int, width: int, levels: int, end: int) -> int:
+    """The rows [0, band) of a height x width image whose analysis yields
+    the first ``end`` LL_levels coefficients, in raster order, bit-identical
+    to the whole image's, and whose synthesis holds every sample that
+    changing them moves.  The band of a band is the band itself.
 
-    Raises unless the image's dimensions fit the transform and its LL
-    grid holds ``end`` coefficients.
+    Raises unless the dimensions fit the transform and the LL grid holds
+    ``end`` coefficients.
     """
-    check_dimensions(image.height, image.width, levels)
-    cols = image.width >> levels
-    capacity = (image.height >> levels) * cols
+    check_dimensions(height, width, levels)
+    cols = width >> levels
+    capacity = (height >> levels) * cols
     if end > capacity:
         raise CapacityError(
             f"the mark needs {end} coefficients but LL{levels} holds only {capacity}"
         )
-    return min(image.height, (-(-end // cols) + MARGIN) << levels)
+    return min(height, (-(-end // cols) + MARGIN) << levels)
 
 
 def _mark_ll(image: PlanarImage, levels: int, end: int) -> np.ndarray:
     """LL_levels of the luma of the image's rows [0, band), the band of
     :func:`_mark_band`."""
-    band = _mark_band(image, levels, end)
-    return dwt2_ll(luma(PlanarImage(image.data[:, :band])), levels)
+    band = _mark_band(image.height, image.width, levels, end)
+    return dwt2_ll(luma(image.data[:, :band]), levels)
 
 
 def embed(
@@ -194,7 +198,7 @@ def embed(
     Returns the watermarked image and the key required for extraction.
     The watermark must fit: rows*cols <= (width/8) * (height/8).
     """
-    _check_delta(delta)
+    _check_delta(delta, DEFAULT_LEVELS)
     n = wm.size
     ll = _mark_ll(host, DEFAULT_LEVELS, n)
     r = generate_r(n, seed)

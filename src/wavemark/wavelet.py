@@ -189,6 +189,9 @@ def check_dimensions(height: int, width: int, levels: int) -> None:
     dimensions divisible by 2**levels."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    # 2**levels above both dimensions divides neither: bound it before the shift
+    if levels > max(height, width).bit_length():
+        raise DimensionError(f"{levels} levels do not fit grid dimensions {width}x{height}")
     mult = 1 << levels
     if height % mult or width % mult:
         raise DimensionError(

@@ -1,9 +1,11 @@
 """The benchmark's output checks run in Tier-1.
 
-``perfbench/run.py --smoke`` embeds and extracts at 64x64 and checks every
+``perfbench/run.py --smoke`` runs a workload at 64x64 and checks every
 output (exit codes, the marked file's shape and printed PSNR, bit-exact
-clean extraction), so a change that breaks what the benchmark measures
-fails here, not only when the benchmark is run.
+clean extraction, the bench CSV's rows), so a change that breaks what the
+benchmark measures fails here, not only when the benchmark is run.  The
+three workloads cover the P6 round trip, the bench sweep and the P3 path,
+where the mark's band is the whole image.
 """
 
 import json
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_roundtrip_smoke_is_correct():
+@pytest.mark.parametrize("workload", ["roundtrip-1024", "bench-512", "ascii-256"])
+def test_smoke_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "roundtrip-1024",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )

@@ -238,6 +238,37 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "delta" in err
 
+    @pytest.mark.parametrize("delta", ["128", "1e3", "1e308"])
+    def test_huge_delta_flag(self, workdir, capsys, delta):
+        # |LL3| < 64, so from 2 * 4**3 = 128 up every coefficient is in bin 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = _embed(workdir, "--delta", delta)
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: --delta")
+
+    @pytest.mark.parametrize("levels, delta, code", [
+        (3, "128.0", 3), (3, "1e+300", 3), (1, "16.0", 3), (2, "16.0", 0),
+    ])
+    def test_huge_delta_in_key(self, workdir, capsys, levels, delta, code):
+        # the bound is the key's own: 2 * 4**levels
+        _, out, key = _embed(workdir)
+        lines = key.read_text().splitlines()
+        lines[1] = f"levels={levels} subband=LL rows=15 cols=64 offset=0"
+        lines[2] = f"delta={delta}"
+        key.write_text("\n".join(lines) + "\n")
+        rec = workdir / "rec.pbm"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["extract", str(out), str(key), str(rec)]) == code
+        assert not caught, [str(w.message) for w in caught]
+        assert rec.exists() == (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("error: format:") and "delta" in err
+
     def test_delta_at_the_floor(self, workdir):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

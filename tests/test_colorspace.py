@@ -44,6 +44,12 @@ class TestLuma:
         with pytest.raises(ValueError):
             luma(PlanarImage(np.zeros((1, 2, 2))))
 
+    def test_planes_give_the_image_luma(self):
+        img = PlanarImage(np.random.default_rng(12).random((3, 16, 24)))
+        assert np.array_equal(luma(img.data), luma(img))
+        with pytest.raises(ValueError):
+            luma(np.zeros((1, 2, 2)))
+
 
 class TestBackward:
     def test_offset_cancellation(self):

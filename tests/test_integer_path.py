@@ -1,0 +1,171 @@
+"""The command line's integer path against the library's float path.
+
+``embed`` and ``extract`` keep a host as its integer file samples and turn
+only the mark's band of rows into floats.  Every output must equal what
+the float path, ``write_image(embed(read_image(host)))``, gives: the
+written bytes, the key, the printed report line and the recovered mark.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wavemark import BitMatrix, embed, extract, pearson, psnr, read_image, save_key, write_image
+from wavemark import write_watermark
+from wavemark.cli import _fmt_psnr, main
+from wavemark.image_io import _encode_samples, _to_8bit
+from wavemark.watermark import DEFAULT_LEVELS, _mark_band
+from conftest import make_mark
+
+MAXVALS = [1, 7, 100, 255, 256, 1000, 65535]
+
+
+def _write_host(path, samples, maxval, magic):
+    """A P3 or P6 file of (height, width, 3) integer samples."""
+    height, width, _ = samples.shape
+    header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
+    if magic == b"P6":
+        payload = samples.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+    else:
+        payload = " ".join(map(str, samples.reshape(-1).tolist())).encode() + b"\n"
+    path.write_bytes(header + payload)
+
+
+def _host_samples(rng, height, width, maxval):
+    samples = rng.integers(0, maxval, (height, width, 3), endpoint=True)
+    # both rails inside the band, so the clamp engages at every maxval
+    samples[0, :8] = maxval
+    samples[1, :8] = 0
+    return samples
+
+
+def _assert_cli_matches_float_path(tmp, capsys, samples, maxval, magic, mark, seed):
+    host, mark_path = tmp / "host.ppm", tmp / "mark.pbm"
+    out, key_path, rec = tmp / "out.ppm", tmp / "out.key", tmp / "rec.pbm"
+    ref, ref_key, ref_rec = tmp / "ref.ppm", tmp / "ref.key", tmp / "ref.pbm"
+    _write_host(host, samples, maxval, magic)
+    write_watermark(mark, mark_path)
+
+    image = read_image(host)
+    marked, key = embed(image, mark, seed=seed)
+    produced = write_image(marked, ref)
+    save_key(key, ref_key)
+    try:
+        line = f"psnr_db={_fmt_psnr(psnr(image, produced))} pearson={pearson(image, produced):.6f}\n"
+        want = (0, line, "")
+    except ValueError as exc:  # a constant host has no correlation
+        want = (2, "", f"error: usage: {exc}\n")
+
+    capsys.readouterr()
+    code = main(["embed", str(host), str(mark_path), str(out), str(key_path), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
+    assert out.read_bytes() == ref.read_bytes()
+    assert key_path.read_bytes() == ref_key.read_bytes()
+
+    for source in (out, host):
+        assert main(["extract", str(source), str(key_path), str(rec)]) == 0
+        write_watermark(extract(read_image(source), key), ref_rec)
+        assert rec.read_bytes() == ref_rec.read_bytes()
+
+
+@pytest.mark.parametrize("height", [128, 32])
+@pytest.mark.parametrize("maxval", MAXVALS)
+@pytest.mark.parametrize("magic", [b"P6", b"P3"])
+def test_cli_matches_float_path(tmp_path, capsys, magic, maxval, height):
+    mark = make_mark(2, 8)
+    band = _mark_band(height, 64, DEFAULT_LEVELS, mark.size)
+    # 128 rows leave rows below the band; in 32 rows the band is the image
+    assert (band < height) == (height == 128)
+    rng = np.random.default_rng([maxval, height])
+    samples = _host_samples(rng, height, 64, maxval)
+    _assert_cli_matches_float_path(tmp_path, capsys, samples, maxval, magic, mark, seed=maxval)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    maxval=st.integers(1, 65535),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_cli_matches_float_path_for_any_host(
+    tmp_path, capsys, maxval, rows, cols, constant, seed, data
+):
+    rng = np.random.default_rng(seed)
+    height, width = 8 * rows, 8 * cols
+    if constant:
+        samples = np.full((height, width, 3), rng.integers(0, maxval, endpoint=True))
+    else:
+        samples = rng.integers(0, maxval, (height, width, 3), endpoint=True)
+    n = data.draw(st.integers(1, rows * cols), label="mark bits")
+    mark = BitMatrix(rng.integers(0, 2, (1, n)))
+    magic = data.draw(st.sampled_from([b"P6", b"P3"]), label="magic")
+    _assert_cli_matches_float_path(tmp_path, capsys, samples, maxval, magic, mark, seed)
+
+
+@pytest.mark.parametrize("maxval", MAXVALS)
+def test_requantization_is_the_float_encoding(maxval):
+    levels = np.arange(maxval + 1)
+    want = _encode_samples(levels / maxval, 255)
+    assert np.array_equal(_to_8bit(levels, maxval), want)
+    if maxval == 255:  # the table skipped there is the identity
+        assert np.array_equal(want, levels)
+
+
+@pytest.mark.parametrize("magic", [b"P6", b"P3"])
+class TestFailuresKeepTheirCategory:
+    """Capacity and dimension checks run on the whole host's shape, before
+    any sample becomes a float."""
+
+    @pytest.fixture
+    def files(self, tmp_path, magic):
+        def host(name, height, width):
+            path = tmp_path / name
+            samples = _host_samples(np.random.default_rng(3), height, width, 255)
+            _write_host(path, samples, 255, magic)
+            return path
+
+        mark = tmp_path / "mark.pbm"
+        write_watermark(make_mark(), mark)  # 960 bits
+        return tmp_path, mark, host
+
+    def _run(self, capsys, argv):
+        capsys.readouterr()
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+
+    def test_embed_dimension(self, files, capsys):
+        tmp, mark, host = files
+        code, err = self._run(capsys, ["embed", host("h.ppm", 100, 96), mark,
+                                       tmp / "o.ppm", tmp / "o.key", "--seed", "1"])
+        assert code == 4 and err.startswith("error: dimension:")
+        assert not (tmp / "o.ppm").exists()
+
+    def test_embed_capacity(self, files, capsys):
+        tmp, mark, host = files
+        code, err = self._run(capsys, ["embed", host("h.ppm", 64, 64), mark,
+                                       tmp / "o.ppm", tmp / "o.key", "--seed", "1"])
+        assert code == 4 and err.startswith("error: capacity:") and "960" in err
+        assert not (tmp / "o.ppm").exists()
+
+    @pytest.mark.parametrize("fields, category", [
+        ("levels=9 subband=LL rows=15 cols=64 offset=0", "dimension"),
+        ("levels=3 subband=LL rows=15 cols=64 offset=3000", "capacity"),
+    ])
+    def test_extract(self, files, capsys, fields, category):
+        tmp, mark, host = files
+        image = host("h.ppm", 256, 256)
+        code, _ = self._run(capsys, ["embed", image, mark, tmp / "o.ppm", tmp / "o.key",
+                                     "--seed", "1"])
+        assert code == 0
+        lines = (tmp / "o.key").read_text().splitlines()
+        lines[1] = fields
+        (tmp / "o.key").write_text("\n".join(lines) + "\n")
+        code, err = self._run(capsys, ["extract", image, tmp / "o.key", tmp / "rec.pbm"])
+        assert code == 4 and err.startswith(f"error: {category}:")
+        assert not (tmp / "rec.pbm").exists()

@@ -214,7 +214,7 @@ class TestBandLimited:
                 key = WatermarkKey(r=generate_r(n, 9), rows=1, cols=n, levels=levels, offset=offset)
                 want = xor_bits(_read_parities(full[offset:end], key.delta), key.r)
                 assert np.array_equal(extract(host, key).bits.reshape(-1), want)
-            assert _mark_band(host, levels, cols) < host.height
+            assert _mark_band(host.height, host.width, levels, cols) < host.height
 
     @pytest.mark.parametrize(
         "kind, size, shape",
@@ -226,7 +226,7 @@ class TestBandLimited:
         wm = make_mark(*shape)
         out, _ = embed(host, wm, seed=21, delta=1 / 16)
         assert np.array_equal(out.data, _full_frame_embed(host, wm, 21, 1 / 16))
-        band = _mark_band(host, 3, wm.size)
+        band = _mark_band(host.height, host.width, 3, wm.size)
         assert np.array_equal(out.data[:, band:], host.data[:, band:])
         if size >= 128:
             assert band < size
@@ -238,6 +238,17 @@ class TestBandLimited:
         out, key = embed(host, wm, seed=5)
         assert np.array_equal(out.data, _full_frame_embed(host, wm, 5, key.delta))
         assert np.array_equal(extract(out, key).bits, wm.bits)
+
+
+    def test_extract_validates_no_image_again(self, monkeypatch):
+        # the band is luma of the caller's planes, not a new PlanarImage
+        host = synthesize_host("noise", 64, seed=2)
+        marked, key = embed(host, make_mark(2, 8), seed=3)
+        calls = []
+        real = PlanarImage.__post_init__
+        monkeypatch.setattr(PlanarImage, "__post_init__", lambda self: calls.append(real(self)))
+        extract(marked, key)
+        assert calls == []
 
 
 class TestEmbedExtract:
@@ -427,6 +438,22 @@ class TestKeyFile:
             out = _embed_parities(c, bits, MIN_DELTA)
             assert np.array_equal(_read_parities(out, MIN_DELTA), bits)
         assert np.abs(out - c).max() <= MIN_DELTA
+
+    @pytest.mark.parametrize("levels", range(1, MAX_LEVELS + 1))
+    def test_delta_ceiling(self, levels):
+        # |LL_L| < 4**L: from 2 * 4**L up every index would be 0
+        top = 2.0 * 4.0**levels
+        WatermarkKey(r=np.zeros(4), rows=2, cols=2, levels=levels, delta=np.nextafter(top, 0))
+        with pytest.raises(ValueError, match="delta"):
+            WatermarkKey(r=np.zeros(4), rows=2, cols=2, levels=levels, delta=top)
+
+    def test_embed_delta_ceiling(self):
+        host, wm = synthesize_host("noise", 64), make_mark(2, 2)
+        with pytest.raises(ValueError, match="delta"):
+            embed(host, wm, seed=0, delta=128.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            embed(host, wm, seed=0, delta=np.nextafter(128.0, 0))
 
     @pytest.mark.parametrize("levels", [0, MAX_LEVELS + 1, 99999999999])
     def test_levels_bounded(self, levels):

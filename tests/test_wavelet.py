@@ -129,6 +129,15 @@ class TestForward:
         with pytest.raises(ValueError):
             dwt2_forward(np.zeros((8, 8)), 0)
 
+    @pytest.mark.parametrize("levels", [5, 64, 10**11])
+    def test_levels_beyond_the_grid(self, levels):
+        # bounded before 1 << levels, which at 10**11 asks for 12.5 GB
+        for transform in (dwt2_forward, dwt2_ll):
+            with pytest.raises(DimensionError):
+                transform(np.zeros((8, 8)), levels)
+        with pytest.raises(DimensionError):
+            ll_synthesis_atom(8, 8, levels, 0, 0)
+
 
 class TestInverse:
     def test_all_zero_pyramid(self):
