@@ -14,7 +14,7 @@ import numpy as np
 
 from .image_io import PlanarImage
 from .watermark import DEFAULT_LEVELS
-from .wavelet import dwt2_forward, dwt2_inverse, threshold_details
+from .wavelet import _thresholded_inverse, dwt2_forward
 
 __all__ = ["CropRect", "wavelet_compressor", "wavelet_compress", "crop"]
 
@@ -35,23 +35,27 @@ class CropRect:
             raise ValueError(f"rectangle origin must be >= 0, got ({self.x}, {self.y})")
 
 
-def wavelet_compressor(img: PlanarImage) -> Callable[[float], PlanarImage]:
-    """Return ``t255 -> wavelet_compress(img, t255)`` for a sweep of thresholds.
+def wavelet_compressor(img: PlanarImage) -> Callable[[float], np.ndarray]:
+    """Return ``t255 -> `` the synthesis planes of ``wavelet_compress(img,
+    t255)``, shaped (channels, height, width) and not yet clipped to
+    [0, 1], for a sweep of thresholds.
 
-    The first call decomposes each channel; every call then only thresholds
-    and inverts those pyramids, making one compressed image at a time.
+    The first call decomposes each channel; every call then only inverts
+    those pyramids, zeroing the small detail coefficients inside each
+    level's synthesis, and returns a new array that the caller may
+    overwrite.
     """
     pyramids = []
 
-    def compress(t255: float) -> PlanarImage:
+    def compress(t255: float) -> np.ndarray:
         if not t255 >= 0.0:
             raise ValueError(f"threshold must be >= 0, got {t255}")
         if not pyramids:
             pyramids[:] = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in img.data]
         out = np.empty_like(img.data)
         for ch, pyr in enumerate(pyramids):
-            out[ch] = dwt2_inverse(threshold_details(pyr, t255 / 255.0))
-        return PlanarImage(np.clip(out, 0.0, 1.0, out=out))
+            out[ch] = _thresholded_inverse(pyr, t255 / 255.0)
+        return out
 
     return compress
 
@@ -61,9 +65,11 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
 
     ``t255`` is expressed on the 0-255 amplitude scale and divided by 255
     internally, since the pipeline works on unit-range samples.  Each
-    channel is thresholded independently over a 3-level decomposition.
+    channel is thresholded independently over a 3-level decomposition,
+    and the result is clipped to [0, 1].
     """
-    return wavelet_compressor(img)(t255)
+    out = wavelet_compressor(img)(t255)
+    return PlanarImage(np.clip(out, 0.0, 1.0, out=out))
 
 
 def crop(img: PlanarImage, rect: CropRect, fill: float = 0.0) -> PlanarImage:

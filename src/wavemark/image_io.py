@@ -15,12 +15,13 @@ to ``v / maxval``.  Writing uses
 round-half-away-from-zero (see :func:`round_half_away`), the one rounding
 rule used throughout the toolkit.
 
-The command line's ``embed`` and ``extract`` keep a host as the integer
-samples of :func:`_read_samples` and turn only the mark's band of rows
-into a raster.  ``embed`` always writes maxval 255 (:func:`_write_8bit`):
-the band is encoded as :func:`write_image` encodes it, and the rows below
-it are the host's samples, copied, or requantized when its maxval is not
-255, with the very bytes :func:`write_image` writes for them.
+The command line's ``embed``, ``extract`` and ``bench`` keep a host as the
+integer samples of :func:`_read_samples` and turn only the mark's band of
+rows into a raster.  ``embed`` always writes maxval 255
+(:func:`_overlay_8bit`): the band is encoded as :func:`write_image`
+encodes it, and the rows below it are the host's samples, copied, or
+requantized when its maxval is not 255, with the very bytes
+:func:`write_image` writes for them.
 """
 
 import re
@@ -231,13 +232,11 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     return PlanarImage(np.divide(ints, float(maxval), out=ints))
 
 
-def _write_8bit(path, samples: np.ndarray, maxval: int, top: PlanarImage) -> np.ndarray:
-    """Write ``samples / maxval`` with its top rows replaced by ``top`` as
-    binary 8-bit PGM or PPM, the bytes :func:`write_image` writes for that
-    raster, and return them, shaped (height, width, channels)."""
+def _overlay_8bit(samples: np.ndarray, maxval: int, top: PlanarImage) -> np.ndarray:
+    """The bytes :func:`write_image` writes for ``samples / maxval`` with its
+    top rows replaced by ``top``, shaped (height, width, channels)."""
     out = _to_8bit(samples, maxval)
     out[: top.height] = _encode_samples(top.data, 255).transpose(1, 2, 0)
-    _write_samples(path, out, 255)
     return out
 
 
@@ -251,10 +250,12 @@ def _write_samples(path, samples: np.ndarray, maxval: int) -> None:
         fh.write(samples)
 
 
-def _encode_samples(arr: np.ndarray, maxval: int) -> np.ndarray:
-    """File samples, as integral floats.  For ``v >= 0``, :func:`round_half_away`
-    is ``floor(v + 0.5)``; below 0 the clamp sends both to 0."""
-    out = arr * float(maxval)
+def _encode_samples(arr: np.ndarray, maxval: int, out: np.ndarray | None = None) -> np.ndarray:
+    """File samples, as integral floats, written to ``out`` when given.  For
+    ``v >= 0``, :func:`round_half_away` is ``floor(v + 0.5)``; below 0 the
+    clamp sends both to 0.  The clamp gives what clipping ``arr`` to [0, 1]
+    first would."""
+    out = np.multiply(arr, float(maxval), out=out)
     out += 0.5
     np.floor(out, out=out)
     return np.clip(out, 0.0, maxval, out=out)

@@ -53,7 +53,8 @@ def pearson(a: PlanarImage, b: PlanarImage) -> float:
 
 def _written_metrics(host: np.ndarray, maxval: int, out: np.ndarray) -> tuple[float, float]:
     """:func:`psnr` and :func:`pearson` of ``host / maxval`` against
-    ``out / 255``, two integer sample arrays of one shape, from exact sums.
+    ``out / 255``, two integer sample arrays of one shape, from exact sums;
+    the correlation is ``nan`` where :func:`pearson` raises.
 
     Each block's sums are integers below 2**53, which float64 holds exactly
     in any order of addition, and Python ints add the blocks up.  Pearson
@@ -71,8 +72,8 @@ def _written_metrics(host: np.ndarray, maxval: int, out: np.ndarray) -> tuple[fl
     sse = 255**2 * sxx - 2 * 255 * maxval * sxy + maxval**2 * syy
     psnr_db = math.inf if sse == 0 else 10.0 * math.log10(255**2 * n * maxval**2 / sse)
     vx, vy = n * sxx - sx * sx, n * syy - sy * sy
-    if vx == 0 or vy == 0:
-        raise ValueError("correlation undefined for a constant image")
+    if vx == 0 or vy == 0:  # a constant image has no correlation
+        return psnr_db, math.nan
     r = (n * sxy - sx * sy) / math.sqrt(vx * vy)
     return psnr_db, min(max(r, -1.0), 1.0)
 

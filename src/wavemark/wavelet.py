@@ -162,10 +162,14 @@ def _forward_level(x: np.ndarray, ll_only: bool = False) -> np.ndarray:
     return grid
 
 
-def _inverse_level(ll: np.ndarray, bands: DetailBands | None) -> np.ndarray:
+def _inverse_level(
+    ll: np.ndarray, bands: DetailBands | None, t: float = 0.0
+) -> np.ndarray:
     """Exact reversal of :func:`_forward_level`: columns, then rows.
 
-    ``bands=None`` stands for three all-zero detail grids."""
+    ``bands=None`` stands for three all-zero detail grids.  A threshold
+    ``t > 0`` first zeroes the detail coefficients with |c| < t, as
+    :func:`threshold_details` does, in the level's own grid."""
     h, w = ll.shape
     grid = np.empty((2, 2, h, w))
     rows = np.empty((2, 2 * h, w))
@@ -174,6 +178,11 @@ def _inverse_level(ll: np.ndarray, bands: DetailBands | None) -> np.ndarray:
         grid[0, 1] = grid[1] = 0.0
     else:
         grid[0, 1], grid[1, 0], grid[1, 1] = bands.hl, bands.lh, bands.hh
+        if t > 0.0:
+            details = grid.reshape(4, h, w)[1:]
+            mag = np.abs(details, out=rows.reshape(-1)[: details.size].reshape(details.shape))
+            # copyto writes +0.0, as np.where does; a mask product would give -0.0
+            np.copyto(details, 0.0, where=mag < t)
     _lift(grid[0], grid[1], free=rows, inverse=True)
     rows[:, 0::2] = grid[0]
     rows[:, 1::2] = grid[1]
@@ -241,10 +250,16 @@ def dwt2_ll(channel: np.ndarray, levels: int) -> np.ndarray:
 
 def dwt2_inverse(pyr: SubbandPyramid) -> np.ndarray:
     """Reconstruct the full-resolution grid from a subband pyramid."""
+    return _thresholded_inverse(pyr, 0.0)
+
+
+def _thresholded_inverse(pyr: SubbandPyramid, t: float) -> np.ndarray:
+    """``dwt2_inverse(threshold_details(pyr, t))`` bit for bit, thresholding
+    each level inside its synthesis instead of in a copy of the pyramid."""
     pyr.validate()
     cur = np.asarray(pyr.ll, dtype=np.float64)
     for bands in reversed(pyr.details):
-        cur = _inverse_level(cur, bands)
+        cur = _inverse_level(cur, bands, t)
     return cur
 
 

@@ -249,6 +249,17 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: usage: --delta")
 
+    @pytest.mark.parametrize("delta", ["128", "1e308", "1e-300"])
+    @pytest.mark.parametrize("host", ["host.ppm", "missing.ppm"])
+    def test_bench_delta_flag(self, workdir, capsys, delta, host):
+        # the flag is checked before any host is read: a missing host would
+        # otherwise leave an embed FAILED row and exit 0
+        code = main(["bench", str(workdir / host), str(workdir / "wm.pbm"),
+                     "--delta", delta, "--seed", "1", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: usage: --delta")
+
     @pytest.mark.parametrize("levels, delta, code", [
         (3, "128.0", 3), (3, "1e+300", 3), (1, "16.0", 3), (2, "16.0", 0),
     ])

@@ -1,19 +1,22 @@
 """The command line's integer path against the library's float path.
 
-``embed`` and ``extract`` keep a host as its integer file samples and turn
-only the mark's band of rows into floats.  Every output must equal what
-the float path, ``write_image(embed(read_image(host)))``, gives: the
-written bytes, the key, the printed report line and the recovered mark.
+``embed``, ``extract`` and ``bench`` keep a host as its integer file
+samples and turn only the mark's band of rows into floats.  Every output
+must equal what the float path, ``write_image(embed(read_image(host)))``,
+gives: the written bytes, the key, the printed report line, the recovered
+mark and every cell of the bench table.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wavemark import BitMatrix, embed, extract, pearson, psnr, read_image, save_key, write_image
-from wavemark import write_watermark
-from wavemark.cli import _fmt_psnr, main
+from wavemark import BitMatrix, CropRect, ber, crop, embed, extract, nc, pearson, psnr, quantize
+from wavemark import read_image, save_key, wavelet_compress, write_image, write_watermark
+from wavemark.cli import _default_rects, _fmt_psnr, main, run_bench
 from wavemark.image_io import _encode_samples, _to_8bit
 from wavemark.watermark import DEFAULT_LEVELS, _mark_band
 from conftest import make_mark
@@ -52,10 +55,10 @@ def _assert_cli_matches_float_path(tmp, capsys, samples, maxval, magic, mark, se
     produced = write_image(marked, ref)
     save_key(key, ref_key)
     try:
-        line = f"psnr_db={_fmt_psnr(psnr(image, produced))} pearson={pearson(image, produced):.6f}\n"
-        want = (0, line, "")
-    except ValueError as exc:  # a constant host has no correlation
-        want = (2, "", f"error: usage: {exc}\n")
+        r = f"{pearson(image, produced):.6f}"
+    except ValueError:  # a constant host has no correlation
+        r = "nan"
+    want = (0, f"psnr_db={_fmt_psnr(psnr(image, produced))} pearson={r}\n", "")
 
     capsys.readouterr()
     code = main(["embed", str(host), str(mark_path), str(out), str(key_path), "--seed", str(seed)])
@@ -106,6 +109,65 @@ def test_cli_matches_float_path_for_any_host(
     mark = BitMatrix(rng.integers(0, 2, (1, n)))
     magic = data.draw(st.sampled_from([b"P6", b"P3"]), label="magic")
     _assert_cli_matches_float_path(tmp_path, capsys, samples, maxval, magic, mark, seed)
+
+
+def _float_path_rows(path, mark, thresholds, rects, seed):
+    """The bench table's cells, computed on unit-range floats throughout."""
+    host = read_image(path)
+    marked, key = embed(host, mark, seed=seed)
+    marked = quantize(marked)
+    scenarios = [("clean", "-", lambda: marked)]
+    scenarios += [("compress", f"{t:g}", lambda t=t: quantize(wavelet_compress(marked, t)))
+                  for t in thresholds]
+    scenarios += [("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: quantize(crop(marked, r)))
+                  for r in rects]
+    rows = []
+    for scenario, param, attack in scenarios:
+        try:
+            image = attack()
+        except ValueError:  # a rectangle outside the image
+            rows.append((str(path), scenario, param) + ("FAILED",) * 4)
+            continue
+        recovered = extract(image, key)
+        try:
+            r = f"{pearson(host, image):.6f}"
+        except ValueError:  # a constant host has no correlation
+            r = "nan"
+        rows.append((str(path), scenario, param, _fmt_psnr(psnr(host, image)), r,
+                     f"{nc(mark, recovered):.6f}", f"{ber(mark, recovered):.4f}"))
+    return rows
+
+
+@pytest.mark.parametrize("height", [64, 32])
+@pytest.mark.parametrize("maxval", [1, 7, 255, 1000, 65535])
+@pytest.mark.parametrize("magic", [b"P6", b"P3"])
+def test_bench_matches_float_path(tmp_path, magic, maxval, height):
+    mark = make_mark(2, 8)
+    # 64 rows leave rows below the band; in 32 rows the band is the image
+    assert (_mark_band(height, 64, DEFAULT_LEVELS, mark.size) < height) == (height == 64)
+    host, mark_path = tmp_path / "host.ppm", tmp_path / "mark.pbm"
+    _write_host(host, _host_samples(np.random.default_rng([maxval, height]), height, 64, maxval),
+                maxval, magic)
+    write_watermark(mark, mark_path)
+    thresholds = [0.0, 3.0, 80.0, math.inf]
+    # one rectangle reaches the right and bottom edges, one passes them
+    edges = [CropRect(40, height - 20, 24, 20), CropRect(40, height - 20, 25, 20)]
+    for rects, want_rects in ((None, _default_rects(64, height)), (edges, edges)):
+        got = [row.cells() for row in run_bench([host], mark_path, thresholds, rects, seed=maxval)]
+        assert got == _float_path_rows(host, mark, thresholds, want_rects, seed=maxval)
+    assert got[-1][3:] == ("FAILED",) * 4
+
+
+@pytest.mark.parametrize("value", [0, 128, 255])
+def test_bench_of_a_constant_host_reads_nan_pearson(tmp_path, value):
+    mark = make_mark(2, 8)
+    host, mark_path = tmp_path / "host.ppm", tmp_path / "mark.pbm"
+    _write_host(host, np.full((64, 64, 3), value), 255, b"P6")
+    write_watermark(mark, mark_path)
+    rects = _default_rects(64, 64)
+    got = [row.cells() for row in run_bench([host], mark_path, [3.0], rects, seed=7)]
+    assert got == _float_path_rows(host, mark, [3.0], rects, seed=7)
+    assert all(row[4] == "nan" and "FAILED" not in row for row in got)
 
 
 @pytest.mark.parametrize("maxval", MAXVALS)

@@ -7,6 +7,7 @@ from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_detai
 from wavemark.wavelet import (
     DetailBands,
     SubbandPyramid,
+    _thresholded_inverse,
     dwt2_ll,
     dwt2_ll_inverse,
     ll_synthesis_atom,
@@ -273,6 +274,20 @@ class TestThreshold:
         pyr = _zero_pyramid(8, 8, 1)
         with pytest.raises(ValueError):
             threshold_details(pyr, -1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.05, math.inf])
+    def test_fused_synthesis_matches_thresholded_inverse(self, t):
+        rng = np.random.default_rng(19)
+        noisy = dwt2_forward(rng.random((64, 96)), 3)
+        # a zero LL under small details of either sign, some exactly +-0.05,
+        # which the strict |c| < t keeps
+        quiet = _zero_pyramid(64, 96, 3)
+        for bands in quiet.details:
+            for g in bands.grids():
+                g[...] = rng.choice([-0.05, -0.01, 0.0, 0.02, 0.05], g.shape)
+        for pyr in (noisy, quiet):
+            want = dwt2_inverse(threshold_details(pyr, t))
+            assert _thresholded_inverse(pyr, t).tobytes() == want.tobytes()
 
 
 class TestImpulseOracle:
