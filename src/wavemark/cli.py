@@ -25,16 +25,14 @@ import csv
 import io
 import secrets
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .attacks import CropRect, crop, wavelet_compress, wavelet_compressor
 from .errors import CapacityError, DimensionError, FormatError, WavemarkError
 from .image_io import (
-    _encode_samples,
-    _overlay_8bit,
+    _file_samples,
     _read_samples,
+    _to_8bit,
     _to_image,
     _write_samples,
     read_image,
@@ -57,7 +55,6 @@ from .watermark import (
 
 __all__ = ["main", "BenchRow", "run_bench", "format_text", "format_csv"]
 
-_CSV_HEADER = ("host", "scenario", "param", "psnr_db", "pearson", "nc", "ber_percent")
 _FAILED = "FAILED"
 
 
@@ -65,8 +62,7 @@ class UsageError(WavemarkError):
     """Bad command-line input (both attacks selected, malformed rect, ...)."""
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     """One (host, scenario) result with formatted metric fields.
 
     Metric fields hold the string ``FAILED`` when the scenario's module
@@ -81,20 +77,8 @@ class BenchRow:
     nc: str
     ber_percent: str
 
-    def cells(self) -> tuple[str, ...]:
-        return (
-            self.host,
-            self.scenario,
-            self.param,
-            self.psnr_db,
-            self.pearson,
-            self.nc,
-            self.ber_percent,
-        )
 
-
-def _fmt_psnr(value: float) -> str:
-    return "inf" if value == float("inf") else f"{value:.4f}"
+_CSV_HEADER = BenchRow._fields
 
 
 def _fresh_seed() -> int:
@@ -119,22 +103,19 @@ def _parse_thresholds(text: str) -> list[float]:
     try:
         values = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise UsageError(f"thresholds must be comma-separated numbers, got {text!r}") from None
-    if not values or any(v < 0 for v in values):
-        raise UsageError(f"thresholds must be >= 0, got {text!r}")
+        values = []
+    # written so that NaN, which fails every comparison, is rejected too
+    if not values or not all(v >= 0 for v in values):
+        raise UsageError(f"--thresholds: expected comma-separated numbers >= 0, got {text!r}")
     return values
 
 
-def _require_colour(path, channels: int) -> None:
-    """The mark lives in the luma of a colour host's JPEG-YCbCr."""
-    if channels != 3:
-        raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
-
-
 def _read_host(path):
-    """A colour host's integer samples, shaped (height, width, 3), and its maxval."""
+    """A colour host's integer samples, shaped (height, width, 3), and its
+    maxval: the mark lives in the luma of its JPEG-YCbCr."""
     samples, maxval = _read_samples(path)
-    _require_colour(path, samples.shape[2])
+    if samples.shape[2] != 3:
+        raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
     return samples, maxval
 
 
@@ -145,13 +126,21 @@ def _check_delta_flag(delta: float) -> None:
         raise UsageError(f"--delta: {exc}") from None
 
 
+def _check_seed_flag(seed, hosts: int) -> None:
+    """Host i embeds with seed + i, which must stay an unsigned 64-bit integer."""
+    if seed is not None and not 0 <= seed <= 2**64 - hosts:
+        raise UsageError(f"--seed: must lie in [0, {2**64 - hosts}] for {hosts} host(s), got {seed}")
+
+
 def _embed_8bit(host, maxval, wm, seed, delta):
     """The 8-bit samples ``embed`` writes for a host's integer samples,
     shaped like them, and the key."""
     band = _mark_band(*host.shape[:2], DEFAULT_LEVELS, wm.size)
     # the band is its own mark band, so this is the library embed
     marked, key = embed(_to_image(host[:band], maxval), wm, seed=seed, delta=delta)
-    return _overlay_8bit(host, maxval, marked), key
+    out = _to_8bit(host, maxval)
+    out[:band] = _file_samples(marked.data, 255)
+    return out, key
 
 
 def _extract_samples(samples, maxval, key):
@@ -166,15 +155,16 @@ def _extract_samples(samples, maxval, key):
 
 
 def cmd_embed(args) -> int:
+    _check_delta_flag(args.delta)
+    _check_seed_flag(args.seed, 1)
     host, maxval = _read_host(args.host)
     wm = read_watermark(args.watermark)
-    _check_delta_flag(args.delta)
     seed = args.seed if args.seed is not None else _fresh_seed()
     out, key = _embed_8bit(host, maxval, wm, seed, args.delta)
     _write_samples(args.out_image, out, 255)
     save_key(key, args.out_key)
     psnr_db, r = _written_metrics(host, maxval, out)
-    print(f"psnr_db={_fmt_psnr(psnr_db)} pearson={r:.6f}")
+    print(f"psnr_db={psnr_db:.4f} pearson={r:.6f}")
     return 0
 
 
@@ -211,6 +201,7 @@ def cmd_bench(args) -> int:
         if not rects:
             raise UsageError("--crops must name at least one rectangle")
     _check_delta_flag(args.delta)
+    _check_seed_flag(args.seed, len(args.hosts))
     rows = run_bench(
         host_paths=args.hosts,
         wm_path=args.watermark,
@@ -219,10 +210,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         delta=args.delta,
     )
-    if args.format == "csv":
-        sys.stdout.write(format_csv(rows))
-    else:
-        sys.stdout.write(format_text(rows))
+    sys.stdout.write((format_csv if args.format == "csv" else format_text)(rows))
     return 0
 
 
@@ -249,9 +237,7 @@ def run_bench(host_paths, wm_path, thresholds, rects=None, seed=None, delta=DEFA
     rows: list[BenchRow] = []
     for index, path in enumerate(host_paths):
         host_seed = seed + index if seed is not None else _fresh_seed()
-        rows.extend(
-            _bench_host(str(path), wm, thresholds, rects, host_seed, delta)
-        )
+        rows.extend(_bench_host(str(path), wm, thresholds, rects, host_seed, delta))
     return rows
 
 
@@ -267,12 +253,8 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         return [failed("embed", "-")]
 
     def to_8bit(planes):
-        # snapped to the 255 grid in place, then interleaved a plane at a
-        # time: numpy casts that 3x faster than one transposed view
-        out = np.empty_like(marked)
-        for ch, plane in enumerate(_encode_samples(planes, 255, out=planes)):
-            out[:, :, ch] = plane
-        return out
+        # encoded in place: the planes are the attack's own scratch
+        return _file_samples(planes, 255, out=planes)
 
     # (scenario, param label, attack): the attack gets the parsed value,
     # never its label read back
@@ -295,17 +277,8 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
             attacked = attack()
             recovered = _extract_samples(attacked, 255, key)
             psnr_db, r = _written_metrics(host, maxval, attacked)
-            rows.append(
-                BenchRow(
-                    host=path,
-                    scenario=scenario,
-                    param=param,
-                    psnr_db=_fmt_psnr(psnr_db),
-                    pearson=f"{r:.6f}",
-                    nc=f"{nc(wm, recovered):.6f}",
-                    ber_percent=f"{ber(wm, recovered):.4f}",
-                )
-            )
+            rows.append(BenchRow(path, scenario, param, f"{psnr_db:.4f}", f"{r:.6f}",
+                                 f"{nc(wm, recovered):.6f}", f"{ber(wm, recovered):.4f}"))
         except (WavemarkError, ValueError, OSError):
             rows.append(failed(scenario, param))
     return rows
@@ -316,12 +289,12 @@ def format_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
     for row in rows:
-        writer.writerow(row.cells())
+        writer.writerow(row)
     return buf.getvalue()
 
 
 def format_text(rows) -> str:
-    table = [_CSV_HEADER] + [row.cells() for row in rows]
+    table = [_CSV_HEADER, *rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(_CSV_HEADER))]
     lines = [
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()

@@ -14,14 +14,6 @@ plane per channel; a file sample ``v`` with maximum value ``maxval`` maps
 to ``v / maxval``.  Writing uses
 round-half-away-from-zero (see :func:`round_half_away`), the one rounding
 rule used throughout the toolkit.
-
-The command line's ``embed``, ``extract`` and ``bench`` keep a host as the
-integer samples of :func:`_read_samples` and turn only the mark's band of
-rows into a raster.  ``embed`` always writes maxval 255
-(:func:`_overlay_8bit`): the band is encoded as :func:`write_image`
-encodes it, and the rows below it are the host's samples, copied, or
-requantized when its maxval is not 255, with the very bytes
-:func:`write_image` writes for them.
 """
 
 import re
@@ -226,18 +218,18 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     """
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
-    ints = _encode_samples(img.data, maxval)
+    samples = _file_samples(img.data, maxval)
+    _write_samples(path, samples, maxval)
+    return _to_image(samples, maxval)
+
+
+def _file_samples(planes: np.ndarray, maxval: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The samples :func:`write_image` writes for (channels, height, width)
+    planes, interleaved to (height, width, channels) in the file's sample
+    type; ``out`` is passed to :func:`_encode_samples`."""
+    ints = _encode_samples(planes, maxval, out=out)
     sample = np.uint8 if maxval == 255 else np.dtype(">u2")  # 16-bit: MSB first
-    _write_samples(path, np.stack(ints, axis=-1, dtype=sample, casting="unsafe"), maxval)
-    return PlanarImage(np.divide(ints, float(maxval), out=ints))
-
-
-def _overlay_8bit(samples: np.ndarray, maxval: int, top: PlanarImage) -> np.ndarray:
-    """The bytes :func:`write_image` writes for ``samples / maxval`` with its
-    top rows replaced by ``top``, shaped (height, width, channels)."""
-    out = _to_8bit(samples, maxval)
-    out[: top.height] = _encode_samples(top.data, 255).transpose(1, 2, 0)
-    return out
+    return np.stack(ints, axis=-1, dtype=sample, casting="unsafe")
 
 
 def _write_samples(path, samples: np.ndarray, maxval: int) -> None:

@@ -260,6 +260,53 @@ class TestHostileInputs:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: usage: --delta")
 
+    @pytest.mark.parametrize("delta", ["128", "1e308"])
+    @pytest.mark.parametrize("host", ["host.ppm", "missing.ppm"])
+    def test_embed_delta_flag_before_host(self, workdir, capsys, delta, host):
+        out = workdir / "o.ppm"
+        code = main(["embed", str(workdir / host), str(workdir / "wm.pbm"), str(out),
+                     str(workdir / "k.txt"), "--delta", delta, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: usage: --delta")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("host", ["host.ppm", "missing.ppm"])
+    def test_embed_seed_flag(self, workdir, capsys, seed, host):
+        out, key = workdir / "o.ppm", workdir / "k.txt"
+        code = main(["embed", str(workdir / host), str(workdir / "wm.pbm"), str(out), str(key),
+                     "--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert not out.exists() and not key.exists()
+        assert captured.err.startswith("error: usage: --seed")
+
+    @pytest.mark.parametrize("seed, hosts", [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
+    def test_bench_seed_flag(self, workdir, capsys, seed, hosts):
+        # host i embeds with seed + i, so the last host's seed must fit too
+        paths = [str(workdir / "host.ppm")] * hosts
+        code = main(["bench", *paths, str(workdir / "wm.pbm"), "--seed", str(seed),
+                     "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: usage: --seed")
+
+    def test_bench_seed_flag_at_the_top(self, workdir, capsys):
+        host = str(workdir / "host.ppm")
+        code = main(["bench", host, host, str(workdir / "wm.pbm"), "--seed", str(2**64 - 2),
+                     "--format", "csv"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 0 and len(rows) == 12
+        assert not any("FAILED" in row for row in rows)
+
+    @pytest.mark.parametrize("thresholds", ["nan", "3,nan"])
+    def test_bench_nan_threshold(self, workdir, capsys, thresholds):
+        code = main(["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"),
+                     "--thresholds", thresholds, "--seed", "1", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: usage: --thresholds")
+
     @pytest.mark.parametrize("levels, delta, code", [
         (3, "128.0", 3), (3, "1e+300", 3), (1, "16.0", 3), (2, "16.0", 0),
     ])

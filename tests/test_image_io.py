@@ -4,6 +4,7 @@ import pytest
 from wavemark import BitMatrix, FormatError, PlanarImage, quantize
 from wavemark.image_io import (
     _encode_samples,
+    _file_samples,
     read_image,
     read_watermark,
     round_half_away,
@@ -337,3 +338,23 @@ class TestPlanes:
         written = write_image(img, path, maxval)
         assert np.array_equal(written.data, quantize(img, maxval).data)
         assert np.array_equal(written.data, read_image(path).data)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_file_samples_are_the_stacked_encoding(self, maxval, channels):
+        # every tie k / (2 * maxval), and samples below 0 and above 1
+        x = np.concatenate([[-0.7, -0.5 / maxval, 1 + 0.5 / maxval, 1.6],
+                            np.arange(2 * maxval + 1) / (2.0 * maxval)])
+        rows = -(-x.size // 64)
+        planes = np.random.default_rng(maxval).permutation(np.resize(x, channels * rows * 64))
+        planes = planes.reshape(channels, rows, 64)
+        sample = np.uint8 if maxval == 255 else np.dtype(">u2")
+        want = np.stack(_encode_samples(planes, maxval), axis=-1, dtype=sample, casting="unsafe")
+        reference = np.clip(round_half_away(planes * maxval), 0, maxval).transpose(1, 2, 0)
+        got = _file_samples(planes, maxval)
+        assert got.dtype == sample and got.shape == (rows, 64, channels)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, reference)
+        scratch = planes.copy()
+        assert _file_samples(scratch, maxval, out=scratch).tobytes() == want.tobytes()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wavemark import BitMatrix, CropRect, ber, crop, embed, extract, nc, pearson, psnr, quantize
 from wavemark import read_image, save_key, wavelet_compress, write_image, write_watermark
-from wavemark.cli import _default_rects, _fmt_psnr, main, run_bench
+from wavemark.cli import _default_rects, main, run_bench
 from wavemark.image_io import _encode_samples, _to_8bit
 from wavemark.watermark import DEFAULT_LEVELS, _mark_band
 from conftest import make_mark
@@ -58,7 +58,7 @@ def _assert_cli_matches_float_path(tmp, capsys, samples, maxval, magic, mark, se
         r = f"{pearson(image, produced):.6f}"
     except ValueError:  # a constant host has no correlation
         r = "nan"
-    want = (0, f"psnr_db={_fmt_psnr(psnr(image, produced))} pearson={r}\n", "")
+    want = (0, f"psnr_db={psnr(image, produced):.4f} pearson={r}\n", "")
 
     capsys.readouterr()
     code = main(["embed", str(host), str(mark_path), str(out), str(key_path), "--seed", str(seed)])
@@ -133,7 +133,7 @@ def _float_path_rows(path, mark, thresholds, rects, seed):
             r = f"{pearson(host, image):.6f}"
         except ValueError:  # a constant host has no correlation
             r = "nan"
-        rows.append((str(path), scenario, param, _fmt_psnr(psnr(host, image)), r,
+        rows.append((str(path), scenario, param, f"{psnr(host, image):.4f}", r,
                      f"{nc(mark, recovered):.6f}", f"{ber(mark, recovered):.4f}"))
     return rows
 
@@ -153,7 +153,7 @@ def test_bench_matches_float_path(tmp_path, magic, maxval, height):
     # one rectangle reaches the right and bottom edges, one passes them
     edges = [CropRect(40, height - 20, 24, 20), CropRect(40, height - 20, 25, 20)]
     for rects, want_rects in ((None, _default_rects(64, height)), (edges, edges)):
-        got = [row.cells() for row in run_bench([host], mark_path, thresholds, rects, seed=maxval)]
+        got = [tuple(row) for row in run_bench([host], mark_path, thresholds, rects, seed=maxval)]
         assert got == _float_path_rows(host, mark, thresholds, want_rects, seed=maxval)
     assert got[-1][3:] == ("FAILED",) * 4
 
@@ -165,7 +165,7 @@ def test_bench_of_a_constant_host_reads_nan_pearson(tmp_path, value):
     _write_host(host, np.full((64, 64, 3), value), 255, b"P6")
     write_watermark(mark, mark_path)
     rects = _default_rects(64, 64)
-    got = [row.cells() for row in run_bench([host], mark_path, [3.0], rects, seed=7)]
+    got = [tuple(row) for row in run_bench([host], mark_path, [3.0], rects, seed=7)]
     assert got == _float_path_rows(host, mark, [3.0], rects, seed=7)
     assert all(row[4] == "nan" and "FAILED" not in row for row in got)
 
