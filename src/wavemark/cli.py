@@ -53,7 +53,7 @@ from .watermark import (
     save_key,
 )
 
-__all__ = ["main", "BenchRow", "run_bench", "format_text", "format_csv"]
+__all__ = ["main"]
 
 _FAILED = "FAILED"
 
@@ -202,14 +202,12 @@ def cmd_bench(args) -> int:
             raise UsageError("--crops must name at least one rectangle")
     _check_delta_flag(args.delta)
     _check_seed_flag(args.seed, len(args.hosts))
-    rows = run_bench(
-        host_paths=args.hosts,
-        wm_path=args.watermark,
-        thresholds=thresholds,
-        rects=rects,
-        seed=args.seed,
-        delta=args.delta,
-    )
+    wm = read_watermark(args.watermark)
+    rows: list[BenchRow] = []
+    for index, path in enumerate(args.hosts):
+        # host i embeds with seed + i, so a pinned seed gives byte-identical runs
+        seed = args.seed + index if args.seed is not None else _fresh_seed()
+        rows.extend(_bench_host(path, wm, thresholds, rects, seed, args.delta))
     sys.stdout.write((format_csv if args.format == "csv" else format_text)(rows))
     return 0
 
@@ -226,22 +224,8 @@ def _default_rects(width: int, height: int) -> list[CropRect]:
     ]
 
 
-def run_bench(host_paths, wm_path, thresholds, rects=None, seed=None, delta=DEFAULT_DELTA):
-    """Embed into each host, run every scenario, and collect metric rows.
-
-    Scenario order per host: clean, each compression threshold, each crop.
-    With ``seed`` given, host i embeds with seed + i, so repeated runs are
-    byte-identical; otherwise every host draws a fresh random seed.
-    """
-    wm = read_watermark(wm_path)
-    rows: list[BenchRow] = []
-    for index, path in enumerate(host_paths):
-        host_seed = seed + index if seed is not None else _fresh_seed()
-        rows.extend(_bench_host(str(path), wm, thresholds, rects, host_seed, delta))
-    return rows
-
-
 def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]:
+    """One host's rows, in scenario order: clean, each threshold, each crop."""
     def failed(scenario: str, param: str) -> BenchRow:
         return BenchRow(path, scenario, param, _FAILED, _FAILED, _FAILED, _FAILED)
 

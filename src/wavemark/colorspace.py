@@ -50,14 +50,6 @@ class YCbCrImage:
                 f"{self.y.shape}/{self.cb.shape}/{self.cr.shape}"
             )
 
-    @property
-    def height(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.y.shape[1]
-
 
 def _weighted(planes, weights, out=None) -> np.ndarray:
     """``sum(w * p)`` over the planes, left to right, without zero terms."""

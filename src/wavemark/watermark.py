@@ -71,14 +71,13 @@ _SM64_MIX2 = 0x94D049BB133111EB
 
 @dataclass(frozen=True)
 class WatermarkKey:
-    """Everything extraction needs: the random sequence R, the subband
-    locator, the watermark shape, and the quantization step."""
+    """Everything extraction needs: the random sequence R, the LL level,
+    the watermark shape, and the quantization step."""
 
     r: np.ndarray
     rows: int
     cols: int
     levels: int = DEFAULT_LEVELS
-    subband: str = "LL"
     delta: float = DEFAULT_DELTA
     seed: int = 0
     offset: int = 0
@@ -94,8 +93,8 @@ class WatermarkKey:
                 f"R has {r.size} bits, shape {self.rows}x{self.cols} "
                 f"needs {self.rows * self.cols}"
             )
-        if self.subband != "LL":
-            raise ValueError(f"unsupported subband {self.subband!r}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed {self.seed} is not an unsigned 64-bit integer")
         if not 1 <= self.levels <= MAX_LEVELS or self.offset < 0:
             raise ValueError(
                 f"levels must lie in [1, {MAX_LEVELS}] and offset must be >= 0, "
@@ -216,7 +215,6 @@ def embed(
         rows=wm.rows,
         cols=wm.cols,
         levels=DEFAULT_LEVELS,
-        subband="LL",
         delta=delta,
         seed=seed,
         offset=0,
@@ -243,7 +241,7 @@ def save_key(key: WatermarkKey, path) -> None:
     r_hex = np.packbits(key.r).tobytes().hex().upper()
     lines = [
         _KEY_MAGIC,
-        f"levels={key.levels} subband={key.subband} rows={key.rows} "
+        f"levels={key.levels} subband=LL rows={key.rows} "
         f"cols={key.cols} offset={key.offset}",
         f"delta={key.delta!r}",
         f"seed={key.seed}",
@@ -290,8 +288,8 @@ def load_key(path) -> WatermarkKey:
         seed = int(seed_field["seed"])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric field: {exc}") from None
-    if not 0 <= seed <= _MASK64:
-        raise FormatError(f"{path}: seed {seed} is not an unsigned 64-bit integer")
+    if fields["subband"] != "LL":
+        raise FormatError(f"{path}: unsupported subband {fields['subband']!r}")
 
     n = rows * cols
     try:
@@ -313,7 +311,6 @@ def load_key(path) -> WatermarkKey:
             rows=rows,
             cols=cols,
             levels=levels,
-            subband=fields["subband"],
             delta=delta,
             seed=seed,
             offset=offset,

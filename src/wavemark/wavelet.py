@@ -78,8 +78,6 @@ class SubbandPyramid:
     is level L, matching the LL grid's resolution.
     """
 
-    base_height: int
-    base_width: int
     ll: np.ndarray
     details: tuple[DetailBands, ...]
 
@@ -88,7 +86,10 @@ class SubbandPyramid:
         return len(self.details)
 
     def validate(self) -> None:
-        h, w = self.base_height, self.base_width
+        """Raise unless LL is 2-D and every detail grid fits the size it gives."""
+        if self.ll.ndim != 2:
+            raise DimensionError(f"LL grid has shape {self.ll.shape}, expected 2-D")
+        h, w = (n << self.levels for n in self.ll.shape)
         for lvl, bands in enumerate(self.details, start=1):
             want = (h >> lvl, w >> lvl)
             for name, grid in (("lh", bands.lh), ("hl", bands.hl), ("hh", bands.hh)):
@@ -97,11 +98,6 @@ class SubbandPyramid:
                         f"level {lvl} {name} grid has shape {grid.shape}, "
                         f"expected {want}"
                     )
-        want = (h >> self.levels, w >> self.levels)
-        if self.ll.shape != want:
-            raise DimensionError(
-                f"LL grid has shape {self.ll.shape}, expected {want}"
-            )
 
 
 # (constant, predict?) in analysis order: predict updates the odd samples
@@ -225,15 +221,12 @@ def dwt2_forward(channel: np.ndarray, levels: int) -> SubbandPyramid:
     The detail bands are views into one grid per level.
     """
     cur = _check_grid(channel, levels)
-    h, w = cur.shape
     details = []
     for _ in range(levels):
         grid = _forward_level(cur)
         cur = grid[0, 0]
         details.append(DetailBands(lh=grid[1, 0], hl=grid[0, 1], hh=grid[1, 1]))
-    return SubbandPyramid(
-        base_height=h, base_width=w, ll=cur, details=tuple(details)
-    )
+    return SubbandPyramid(ll=cur, details=tuple(details))
 
 
 def dwt2_ll(channel: np.ndarray, levels: int) -> np.ndarray:
@@ -291,12 +284,7 @@ def threshold_details(pyr: SubbandPyramid, t: float) -> SubbandPyramid:
         )
         for b in pyr.details
     )
-    return SubbandPyramid(
-        base_height=pyr.base_height,
-        base_width=pyr.base_width,
-        ll=pyr.ll.copy(),
-        details=new_details,
-    )
+    return SubbandPyramid(ll=pyr.ll.copy(), details=new_details)
 
 
 def ll_synthesis_atom(

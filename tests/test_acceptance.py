@@ -200,7 +200,7 @@ def _synthesis_footprints(size: int, levels: int) -> dict:
                 DetailBands(zero(lvl), zero(lvl), zero(lvl))
                 for lvl in range(1, levels + 1)
             )
-            out = dwt2_inverse(SubbandPyramid(size, size, ll, details))
+            out = dwt2_inverse(SubbandPyramid(ll, details))
             mask = np.abs(out) > 1e-12
             step = 1 << levels
             for i in range(r0, n, stride):

@@ -212,6 +212,17 @@ class TestHostileInputs:
         assert err.startswith("error: format:") and "levels" in err
         assert not rec.exists()
 
+    @pytest.mark.parametrize("line, text, named", [
+        (1, "levels=3 subband=HH rows=15 cols=64 offset=0", "'HH'"),
+        (3, "seed=-1", "seed -1"),
+        (3, f"seed={2**64}", f"seed {2**64}"),
+    ])
+    def test_key_field_outside_the_format(self, workdir, capsys, line, text, named):
+        code, rec = self._extract_with(workdir, line, text)
+        assert code == 3 and not rec.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:") and named in err
+
     def test_levels_deeper_than_the_image(self, workdir, capsys):
         # 16 levels need dimensions divisible by 65536; the 256x256 host
         # is rejected before any band is sized

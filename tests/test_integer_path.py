@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wavemark import BitMatrix, CropRect, ber, crop, embed, extract, nc, pearson, psnr, quantize
-from wavemark import read_image, save_key, wavelet_compress, write_image, write_watermark
-from wavemark.cli import _default_rects, main, run_bench
+from wavemark import read_image, read_watermark, save_key, wavelet_compress, write_image
+from wavemark import write_watermark
+from wavemark.cli import _bench_host, _default_rects, main
 from wavemark.image_io import _encode_samples, _to_8bit
-from wavemark.watermark import DEFAULT_LEVELS, _mark_band
+from wavemark.watermark import DEFAULT_DELTA, DEFAULT_LEVELS, _mark_band
 from conftest import make_mark
 
 MAXVALS = [1, 7, 100, 255, 256, 1000, 65535]
@@ -153,7 +154,9 @@ def test_bench_matches_float_path(tmp_path, magic, maxval, height):
     # one rectangle reaches the right and bottom edges, one passes them
     edges = [CropRect(40, height - 20, 24, 20), CropRect(40, height - 20, 25, 20)]
     for rects, want_rects in ((None, _default_rects(64, height)), (edges, edges)):
-        got = [tuple(row) for row in run_bench([host], mark_path, thresholds, rects, seed=maxval)]
+        rows = _bench_host(str(host), read_watermark(mark_path), thresholds, rects, maxval,
+                           DEFAULT_DELTA)
+        got = [tuple(row) for row in rows]
         assert got == _float_path_rows(host, mark, thresholds, want_rects, seed=maxval)
     assert got[-1][3:] == ("FAILED",) * 4
 
@@ -165,7 +168,8 @@ def test_bench_of_a_constant_host_reads_nan_pearson(tmp_path, value):
     _write_host(host, np.full((64, 64, 3), value), 255, b"P6")
     write_watermark(mark, mark_path)
     rects = _default_rects(64, 64)
-    got = [tuple(row) for row in run_bench([host], mark_path, [3.0], rects, seed=7)]
+    rows = _bench_host(str(host), read_watermark(mark_path), [3.0], rects, 7, DEFAULT_DELTA)
+    got = [tuple(row) for row in rows]
     assert got == _float_path_rows(host, mark, [3.0], rects, seed=7)
     assert all(row[4] == "nan" and "FAILED" not in row for row in got)
 

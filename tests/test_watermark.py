@@ -189,7 +189,7 @@ def _full_frame_embed(host, wm, seed, delta):
     h, w = host.height, host.width
     zero = lambda lvl: np.zeros((h >> lvl, w >> lvl))
     details = tuple(DetailBands(zero(lvl), zero(lvl), zero(lvl)) for lvl in (1, 2, 3))
-    dy = dwt2_inverse(SubbandPyramid(h, w, change, details))
+    dy = dwt2_inverse(SubbandPyramid(change, details))
     return np.clip(host.data + dy, 0.0, 1.0)
 
 
@@ -271,7 +271,7 @@ class TestEmbedExtract:
         small = make_mark(8, 16)
         _, key = embed(host, small, seed=99, delta=1 / 32)
         assert (key.rows, key.cols, key.levels) == (8, 16, 3)
-        assert key.subband == "LL" and key.offset == 0
+        assert key.offset == 0
         assert key.delta == 1 / 32 and key.seed == 99
         assert np.array_equal(key.r, generate_r(small.size, 99))
 
@@ -344,7 +344,7 @@ class TestKeyFile:
         save_key(key, p)
         back = load_key(p)
         assert back.rows == key.rows and back.cols == key.cols
-        assert back.levels == key.levels and back.subband == key.subband
+        assert back.levels == key.levels
         assert back.delta == key.delta and back.seed == key.seed
         assert back.offset == key.offset
         assert np.array_equal(back.r, key.r)
@@ -414,6 +414,25 @@ class TestKeyFile:
         )
         with pytest.raises(FormatError, match="padding"):
             load_key(p)
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("subband=LL", "subband=HH", "'HH'"),
+        ("seed=7", "seed=-1", "seed -1"),
+        ("seed=7", f"seed={2**64}", f"seed {2**64}"),
+    ])
+    def test_field_outside_the_format_rejected(self, tmp_path, old, new, named):
+        p = tmp_path / "key.txt"
+        p.write_text(
+            "WMKEY1\nlevels=3 subband=LL rows=2 cols=4 offset=0\n"
+            "delta=0.0625\nseed=7\nR=F0\n".replace(old, new)
+        )
+        with pytest.raises(FormatError, match=named):
+            load_key(p)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_be_unsigned_64_bit(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            WatermarkKey(r=np.zeros(4), rows=2, cols=2, seed=seed)
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0])
     def test_delta_must_be_finite_and_positive(self, delta):

@@ -71,7 +71,7 @@ def _zero_pyramid(h, w, levels, ll=None):
     )
     if ll is None:
         ll = np.zeros((h >> levels, w >> levels))
-    return SubbandPyramid(base_height=h, base_width=w, ll=ll, details=details)
+    return SubbandPyramid(ll=ll, details=details)
 
 
 class TestForward:
@@ -170,13 +170,18 @@ class TestInverse:
     def test_inconsistent_shapes_rejected(self):
         pyr = _zero_pyramid(32, 32, 2)
         bad = SubbandPyramid(
-            base_height=32,
-            base_width=32,
             ll=pyr.ll,
             details=(pyr.details[0], DetailBands(np.zeros((4, 4)), np.zeros((8, 8)), np.zeros((8, 8)))),
         )
         with pytest.raises(DimensionError):
             dwt2_inverse(bad)
+
+    @pytest.mark.parametrize("ll_shape", [(64,), (4, 4), (8, 16)])
+    def test_ll_that_does_not_fit_the_details_rejected(self, ll_shape):
+        # LL gives the base size, so a flat or mis-sized LL fails the checks
+        pyr = _zero_pyramid(32, 32, 2)
+        with pytest.raises(DimensionError):
+            dwt2_inverse(SubbandPyramid(ll=np.zeros(ll_shape), details=pyr.details))
 
 
 class TestProperties:
