@@ -7,7 +7,7 @@ while keeping the original geometry, since extraction needs the
 full-size raster.
 """
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,28 +34,52 @@ class CropRect:
         if self.x < 0 or self.y < 0:
             raise ValueError(f"rectangle origin must be >= 0, got ({self.x}, {self.y})")
 
+    def window(self, width: int, height: int) -> tuple[slice, slice]:
+        """The (rows, columns) slices the rectangle covers in a width x
+        height raster; raises ValueError where it passes the raster's edge."""
+        if self.x + self.w > width or self.y + self.h > height:
+            raise ValueError(
+                f"rectangle ({self.x}, {self.y}, {self.w}, {self.h}) exceeds "
+                f"image bounds {width}x{height}"
+            )
+        return slice(self.y, self.y + self.h), slice(self.x, self.x + self.w)
 
-def wavelet_compressor(img: PlanarImage) -> Callable[[float], np.ndarray]:
+
+class _Synthesis(Sequence):
+    """The synthesis planes of one threshold, one per channel, each
+    inverted from its pyramid when it is asked for: a new (height, width)
+    array the caller may overwrite.  ``np.asarray`` stacks them to
+    (channels, height, width)."""
+
+    def __init__(self, pyramids, t: float):
+        self._pyramids, self._t = pyramids, t
+
+    def __len__(self) -> int:
+        return len(self._pyramids)
+
+    def __getitem__(self, ch: int) -> np.ndarray:
+        return _thresholded_inverse(self._pyramids[ch], self._t)
+
+
+def wavelet_compressor(
+    img: PlanarImage | Iterable[np.ndarray],
+) -> Callable[[float], Sequence[np.ndarray]]:
     """Return ``t255 -> `` the synthesis planes of ``wavelet_compress(img,
-    t255)``, shaped (channels, height, width) and not yet clipped to
-    [0, 1], for a sweep of thresholds.
+    t255)``, not yet clipped to [0, 1], for a sweep of thresholds.
 
-    The first call decomposes each channel; every call then only inverts
-    those pyramids, zeroing the small detail coefficients inside each
-    level's synthesis, and returns a new array that the caller may
-    overwrite.
+    ``img`` may also be its channel planes, then taken as valid; each is
+    decomposed as it comes, so they may be made one at a time.  The
+    compressor keeps the pyramids, not ``img``, and threads may share it.
+    A call checks the threshold; each plane it hands out zeroes the small
+    detail coefficients inside each level's synthesis of one channel.
     """
-    pyramids = []
+    planes = img.data if isinstance(img, PlanarImage) else img
+    pyramids = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in planes]
 
-    def compress(t255: float) -> np.ndarray:
+    def compress(t255: float) -> _Synthesis:
         if not t255 >= 0.0:
             raise ValueError(f"threshold must be >= 0, got {t255}")
-        if not pyramids:
-            pyramids[:] = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in img.data]
-        out = np.empty_like(img.data)
-        for ch, pyr in enumerate(pyramids):
-            out[ch] = _thresholded_inverse(pyr, t255 / 255.0)
-        return out
+        return _Synthesis(pyramids, t255 / 255.0)
 
     return compress
 
@@ -68,19 +92,17 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     channel is thresholded independently over a 3-level decomposition,
     and the result is clipped to [0, 1].
     """
-    out = wavelet_compressor(img)(t255)
-    return PlanarImage(np.clip(out, 0.0, 1.0, out=out))
+    out = np.empty_like(img.data)
+    for ch, plane in enumerate(wavelet_compressor(img)(t255)):
+        np.clip(plane, 0.0, 1.0, out=out[ch])
+    return PlanarImage(out)
 
 
 def crop(img: PlanarImage, rect: CropRect, fill: float = 0.0) -> PlanarImage:
     """Replace the samples inside ``rect`` with ``fill`` in every channel."""
-    if rect.x + rect.w > img.width or rect.y + rect.h > img.height:
-        raise ValueError(
-            f"rectangle ({rect.x}, {rect.y}, {rect.w}, {rect.h}) exceeds "
-            f"image bounds {img.width}x{img.height}"
-        )
+    rows, cols = rect.window(img.width, img.height)
     if not 0.0 <= fill <= 1.0:
         raise ValueError(f"fill must lie in [0, 1], got {fill}")
     data = img.data.copy()
-    data[:, rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = fill
+    data[:, rows, cols] = fill
     return PlanarImage(data)

@@ -111,6 +111,8 @@ _TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*([^ \t\r\n\v\f#]*)")
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _NOT_DIGIT_OR_SPACE = re.compile(rb"[^0-9 \t\r\n\v\f]")
 _WHITESPACE = b" \t\r\n\v\f"
+# the largest width or height a file may declare, and a synthesis may make
+_MAX_SIDE = 1 << 30
 
 
 def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, int]:
@@ -142,8 +144,8 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
         raise FormatError(
             f"{path}: byte {m.start(1)}: unsupported magic {magic!r}, expected one of {magics}"
         )
-    width, pos = _header_int(data, m.end(), path, "width", 1 << 30)
-    height, pos = _header_int(data, pos, path, "height", 1 << 30)
+    width, pos = _header_int(data, m.end(), path, "width", _MAX_SIDE)
+    height, pos = _header_int(data, pos, path, "height", _MAX_SIDE)
     maxval = 1
     if magic not in (b"P1", b"P4"):
         maxval, pos = _header_int(data, pos, path, "maxval", 65535)
@@ -223,13 +225,22 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     return _to_image(samples, maxval)
 
 
-def _file_samples(planes: np.ndarray, maxval: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The samples :func:`write_image` writes for (channels, height, width)
-    planes, interleaved to (height, width, channels) in the file's sample
-    type; ``out`` is passed to :func:`_encode_samples`."""
-    ints = _encode_samples(planes, maxval, out=out)
+def _file_samples(planes, maxval: int, in_place: bool = False) -> np.ndarray:
+    """The samples :func:`write_image` writes for a sequence of (height,
+    width) planes, one per channel, interleaved to (height, width,
+    channels) in the file's sample type.  The planes are encoded one at a
+    time, each into itself when ``in_place`` says the caller is done with
+    them."""
     sample = np.uint8 if maxval == 255 else np.dtype(">u2")  # 16-bit: MSB first
-    return np.stack(ints, axis=-1, dtype=sample, casting="unsafe")
+    out = None
+    for ch in range(len(planes)):
+        plane = planes[ch]
+        ints = _encode_samples(plane, maxval, out=plane if in_place else None)
+        if out is None:
+            out = np.empty((*ints.shape, len(planes)), sample)
+        out[..., ch] = ints
+        del plane, ints  # before the next plane is made
+    return out
 
 
 def _write_samples(path, samples: np.ndarray, maxval: int) -> None:

@@ -66,7 +66,10 @@ def _written_metrics(host: np.ndarray, maxval: int, out: np.ndarray) -> tuple[fl
         x = xs[i : i + _BLOCK].astype(np.float64)
         y = ys[i : i + _BLOCK].astype(np.float64)
         sx, sy = sx + int(x.sum()), sy + int(y.sum())
-        sxx, syy, sxy = sxx + int(x @ x), syy + int(y @ y), sxy + int(x @ y)
+        # einsum, not x @ y: OpenBLAS threads busy-wait after each dot, taking bench's CPUs
+        sxx += int(np.einsum("i,i", x, x))
+        syy += int(np.einsum("i,i", y, y))
+        sxy += int(np.einsum("i,i", x, y))
     n = xs.size
     # sum((255 x - maxval y)**2): the squared error on the 255 scale, times maxval**2
     sse = 255**2 * sxx - 2 * 255 * maxval * sxy + maxval**2 * syy

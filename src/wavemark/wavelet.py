@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .image_io import _MAX_SIDE
 
 __all__ = [
     "SubbandPyramid",
@@ -262,10 +263,20 @@ def dwt2_ll_inverse(ll: np.ndarray, levels: int) -> np.ndarray:
 
     Lifting is local, so the top rows of the result depend only on the top
     rows of ``ll``: a caller may pass a band of LL rows and keep the rows
-    of the result that lie far enough from the band's bottom edge.
+    of the result that lie far enough from the band's bottom edge.  ``ll``
+    must be 2-D, and its synthesis no wider or taller than a Netpbm header
+    may declare.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    shape = np.shape(ll)
+    if len(shape) != 2:
+        raise DimensionError(f"LL grid has shape {shape}, expected 2-D")
+    if max(shape) > _MAX_SIDE >> levels:  # no shift up: levels may be huge
+        raise DimensionError(
+            f"{levels} levels of synthesis from a {shape[1]}x{shape[0]} LL grid "
+            f"pass the side limit {_MAX_SIDE}"
+        )
     cur = np.asarray(ll, dtype=np.float64)
     for _ in range(levels):
         cur = _inverse_level(cur, None)

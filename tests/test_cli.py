@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from wavemark import PlanarImage, read_image, read_watermark, write_image, write_watermark
-from wavemark.cli import main
+from wavemark.cli import _on_every_cpu, main
 from conftest import make_mark
 
 
@@ -28,6 +31,10 @@ def _embed(workdir, *extra):
          str(out), str(key), "--seed", "42", *extra]
     )
     return code, out, key
+
+
+def _report_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestSynth:
@@ -171,6 +178,17 @@ class TestHostileInputs:
         key.write_text("\n".join(lines) + "\n")
         assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 3
         assert capsys.readouterr().err.startswith("error: format:")
+
+    @pytest.mark.parametrize("t", ["-1", "nan"])
+    def test_bad_threshold_flag_before_a_bad_size_host(self, workdir, capsys, t):
+        # the flag is checked before the file is read, so a host whose sides
+        # do not divide by 8 still gives a usage error
+        host = workdir / "odd.ppm"
+        write_image(PlanarImage(np.zeros((3, 100, 100))), host)
+        assert main(["attack", str(host), str(workdir / "a.ppm"), "--compress-t", t]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "--compress-t" in err
+        assert not (workdir / "a.ppm").exists()
 
     def test_infinite_delta_flag(self, workdir, capsys):
         code, _, _ = _embed(workdir, "--delta", "inf")
@@ -436,7 +454,7 @@ class TestBench:
         from wavemark.attacks import CropRect
 
         thresholds, rects = [], []
-        real_compressor, real_crop = cli.wavelet_compressor, cli.crop
+        real_compressor, real_window = cli.wavelet_compressor, CropRect.window
 
         def spy_compressor(img):
             compress = real_compressor(img)
@@ -447,12 +465,12 @@ class TestBench:
 
             return spy
 
-        def spy_crop(img, rect, *args, **kwargs):
+        def spy_window(rect, *args, **kwargs):
             rects.append(rect)
-            return real_crop(img, rect, *args, **kwargs)
+            return real_window(rect, *args, **kwargs)
 
         monkeypatch.setattr(cli, "wavelet_compressor", spy_compressor)
-        monkeypatch.setattr(cli, "crop", spy_crop)
+        monkeypatch.setattr(CropRect, "window", spy_window)
         code = main(
             ["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"), "--seed", "42",
              "--thresholds", "3.1234567", "--crops", "1,2,30,40", "--format", "csv"]
@@ -472,6 +490,33 @@ class TestBench:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_csv_does_not_depend_on_the_cpu_count(self, workdir, capsys, monkeypatch):
+        noise, bad = workdir / "noise.ppm", workdir / "bad.ppm"
+        assert main(["synth", str(noise), "--size", "256", "--kind", "noise"]) == 0
+        write_image(PlanarImage(np.random.default_rng(1).random((3, 100, 100))), bad)
+        hosts = [str(workdir / "host.ppm"), str(bad), str(noise)]
+        # the two default quarters of a 256x256 host, then one past its right edge
+        crops = ["0,0,128,128", "64,64,128,128", "200,0,57,10"]
+        args = ["bench", *hosts, str(workdir / "wm.pbm"), "--seed", "42", "--format", "csv",
+                "--thresholds", "0,3,80,inf", "--crops", ";".join(crops)]
+        outputs = []
+        for cpus in (1, 2, 4):
+            _report_cpus(monkeypatch, cpus)
+            assert main(args) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        import csv as _csv
+
+        rows = list(_csv.reader(outputs[0].splitlines()[1:]))
+        scenarios = [("clean", "-")] + [("compress", t) for t in ("0", "3", "80", "inf")]
+        scenarios += [("crop", c) for c in crops]
+        assert [tuple(row[:3]) for row in rows] == (
+            [(hosts[0], *s) for s in scenarios] + [(hosts[1], "embed", "-")]
+            + [(hosts[2], *s) for s in scenarios]
+        )
+        failed = [i for i, row in enumerate(rows) if row[3:] == ["FAILED"] * 4]
+        assert failed == [len(scenarios) - 1, len(scenarios), 2 * len(scenarios)]
 
     def test_failed_row_continues(self, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"
@@ -504,6 +549,52 @@ class TestBench:
         for t_row, c_row in zip(text_cells, csv_cells):
             # text rows split on whitespace; rect params contain no spaces
             assert t_row == [c for c in c_row if c != ""] or t_row == c_row
+
+
+class TestOnEveryCpu:
+    """The scheduler under bench: each index runs once, on the caller alone
+    when there is one CPU, and a task's error reaches the caller."""
+
+    def test_each_index_runs_once_under_contention(self, monkeypatch):
+        _report_cpus(monkeypatch, 8)
+        n, seen, threads = 5000, [], set()
+        last_ran = threading.Event()
+
+        def task(i):
+            seen.append(i)
+            threads.add(threading.get_ident())
+            if i == 0:  # hold the first thread until others have run the rest
+                last_ran.wait(timeout=30)
+            elif i == n - 1:
+                last_ran.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=_on_every_cpu, args=(n, task))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(seen) == list(range(n))
+        assert last_ran.is_set() and len(threads) > 1
+
+    def test_one_cpu_runs_every_index_on_the_caller(self, monkeypatch):
+        _report_cpus(monkeypatch, 1)
+        threads = []
+        _on_every_cpu(10, lambda i: threads.append(threading.get_ident()))
+        assert threads == [threading.get_ident()] * 10
+
+    def test_a_task_error_reaches_the_caller(self, monkeypatch):
+        _report_cpus(monkeypatch, 4)
+
+        def task(i):
+            if i == 5:
+                raise RuntimeError("task 5")
+
+        with pytest.raises(RuntimeError, match="task 5"):
+            _on_every_cpu(20, task)
 
 
 def test_readme_round_trip(tmp_path, monkeypatch, capsys):

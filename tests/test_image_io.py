@@ -357,4 +357,4 @@ class TestPlanes:
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, reference)
         scratch = planes.copy()
-        assert _file_samples(scratch, maxval, out=scratch).tobytes() == want.tobytes()
+        assert _file_samples(scratch, maxval, in_place=True).tobytes() == want.tobytes()

@@ -245,6 +245,20 @@ class TestLLInverse:
         want = dwt2_inverse(_zero_pyramid(h, w, levels, ll=ll))
         assert np.array_equal(dwt2_ll_inverse(ll, levels), want)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()])
+    def test_ll_must_be_2d(self, shape):
+        with pytest.raises(DimensionError):
+            dwt2_ll_inverse(np.zeros(shape), 3)
+
+    @pytest.mark.parametrize(
+        "shape, levels", [((1, 1), 64), ((1, 1), 31), ((1, 1 << 20), 11), ((1, 1), 1 << 40)]
+    )
+    def test_output_side_is_bounded(self, shape, levels):
+        # the side cap of image headers, checked before anything is allocated
+        with pytest.raises(DimensionError):
+            dwt2_ll_inverse(np.zeros(shape), levels)
+        assert dwt2_ll_inverse(np.ones((1, 1)), 3).shape == (8, 8)
+
     def test_atom_checks_dimensions(self):
         with pytest.raises(DimensionError):
             ll_synthesis_atom(100, 96, 3, 0, 0)
