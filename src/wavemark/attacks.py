@@ -7,7 +7,7 @@ while keeping the original geometry, since extraction needs the
 full-size raster.
 """
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,41 +45,26 @@ class CropRect:
         return slice(self.y, self.y + self.h), slice(self.x, self.x + self.w)
 
 
-class _Synthesis(Sequence):
-    """The synthesis planes of one threshold, one per channel, each
-    inverted from its pyramid when it is asked for: a new (height, width)
-    array the caller may overwrite.  ``np.asarray`` stacks them to
-    (channels, height, width)."""
-
-    def __init__(self, pyramids, t: float):
-        self._pyramids, self._t = pyramids, t
-
-    def __len__(self) -> int:
-        return len(self._pyramids)
-
-    def __getitem__(self, ch: int) -> np.ndarray:
-        return _thresholded_inverse(self._pyramids[ch], self._t)
-
-
 def wavelet_compressor(
-    img: PlanarImage | Iterable[np.ndarray],
-) -> Callable[[float], Sequence[np.ndarray]]:
+    planes: Iterable[np.ndarray],
+) -> Callable[[float], Iterator[np.ndarray]]:
     """Return ``t255 -> `` the synthesis planes of ``wavelet_compress(img,
     t255)``, not yet clipped to [0, 1], for a sweep of thresholds.
 
-    ``img`` may also be its channel planes, then taken as valid; each is
-    decomposed as it comes, so they may be made one at a time.  The
-    compressor keeps the pyramids, not ``img``, and threads may share it.
-    A call checks the threshold; each plane it hands out zeroes the small
-    detail coefficients inside each level's synthesis of one channel.
+    ``planes`` are the image's channel planes, taken as valid and each
+    decomposed as it comes, so a generator may make them one at a time.
+    The compressor keeps the pyramids, not the planes, and threads may
+    share it.  A call checks the threshold and returns a generator that
+    makes each channel's synthesis plane when it is asked for: a new array
+    the caller may overwrite.
     """
-    planes = img.data if isinstance(img, PlanarImage) else img
     pyramids = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in planes]
 
-    def compress(t255: float) -> _Synthesis:
+    def compress(t255: float) -> Iterator[np.ndarray]:
         if not t255 >= 0.0:
             raise ValueError(f"threshold must be >= 0, got {t255}")
-        return _Synthesis(pyramids, t255 / 255.0)
+        t = t255 / 255.0
+        return (_thresholded_inverse(pyramid, t) for pyramid in pyramids)
 
     return compress
 
@@ -93,7 +78,7 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     and the result is clipped to [0, 1].
     """
     out = np.empty_like(img.data)
-    for ch, plane in enumerate(wavelet_compressor(img)(t255)):
+    for ch, plane in enumerate(wavelet_compressor(img.data)(t255)):
         np.clip(plane, 0.0, 1.0, out=out[ch])
     return PlanarImage(out)
 

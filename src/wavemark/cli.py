@@ -5,19 +5,18 @@ Subcommands wire the pipeline end to end: ``synth`` makes a host,
 mark, and ``bench`` runs the whole robustness table (clean, compression
 thresholds, crops) over one or more hosts.
 
-``embed``, ``extract`` and ``bench`` keep the host as its file's integer
-samples; only the mark's band of rows becomes a float raster for the
-library ``embed`` or ``extract``.  ``embed`` always writes maxval 255: rows
-below the band are the host's samples, copied, or requantized when its
-maxval is not 255.  ``bench`` runs each scenario on those 8-bit samples,
-the file ``embed`` writes: compression decomposes them one float plane at
-a time and puts each synthesis plane back on the 255 grid as a write
-would, and a crop blanks its rectangle in the 8-bit samples.  The report
-line and every bench row's PSNR and Pearson are computed from exact
-integer sums; a constant image's undefined Pearson reads ``nan``.  A
-host's rows are computed on the CPUs the process may use, the calling
-thread and one worker per extra CPU, with the same bytes and in the same
-order as on one.
+Every subcommand but ``synth`` keeps the image as its file's integer
+samples.  ``embed`` and ``extract`` turn only the mark's band of rows into
+floats for the library ``embed`` or ``extract``.  ``embed`` and ``attack``
+always write maxval 255; ``embed`` copies the host's rows below the band,
+or requantizes them when its maxval is not 255.  ``attack`` and ``bench``
+share one compression, which decomposes one float plane at a time and
+encodes each synthesis plane as a write would, and one crop, which blanks
+its rectangle in the 8-bit samples; ``bench`` runs each scenario on the
+file ``embed`` writes.  The report line and every bench row's PSNR and
+Pearson come from exact integer sums; a constant image's undefined
+Pearson reads ``nan``.  A host's rows are computed on the CPUs the process
+may use, with the same bytes and in the same order as on one.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr.  Exit codes: 0 success, 2 usage, 3 data/format,
@@ -32,15 +31,17 @@ import secrets
 import sys
 from typing import NamedTuple
 
-from .attacks import CropRect, crop, wavelet_compress, wavelet_compressor
+import numpy as np
+
+from .attacks import CropRect, wavelet_compressor
 from .errors import CapacityError, DimensionError, FormatError, WavemarkError
 from .image_io import (
+    _encode_samples,
     _file_samples,
     _read_samples,
     _to_8bit,
     _to_image,
     _write_samples,
-    read_image,
     read_watermark,
     write_image,
     write_watermark,
@@ -90,18 +91,18 @@ def _fresh_seed() -> int:
     return secrets.randbits(64)
 
 
-def _parse_rect(text: str) -> CropRect:
+def _parse_rect(flag: str, text: str) -> CropRect:
     parts = text.split(",")
     if len(parts) != 4:
-        raise UsageError(f"crop rectangle must be x,y,w,h, got {text!r}")
+        raise UsageError(f"{flag}: crop rectangle must be x,y,w,h, got {text!r}")
     try:
         x, y, w, h = (int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"crop rectangle must be four integers, got {text!r}") from None
+        raise UsageError(f"{flag}: crop rectangle must be four integers, got {text!r}") from None
     try:
         return CropRect(x=x, y=y, w=w, h=h)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_thresholds(text: str) -> list[float]:
@@ -155,6 +156,22 @@ def _extract_samples(samples, maxval, key):
     return extract(_to_image(samples[:band], maxval), key)
 
 
+def _compressor(samples, maxval):
+    """``t -> `` the 8-bit samples ``write_image(wavelet_compress(img, t))``
+    writes for ``img = samples / maxval``, made one float plane at a time."""
+    compress = wavelet_compressor(plane / maxval for plane in samples.transpose(2, 0, 1))
+    return lambda t: _file_samples(compress(t), 255)
+
+
+def _cropped(samples, rect, fill):
+    """A copy of 8-bit samples with ``rect`` blanked: the bytes
+    ``write_image(crop(img, rect, fill))`` writes for ``img = samples / 255``."""
+    rows, cols = rect.window(samples.shape[1], samples.shape[0])
+    out = samples.copy()
+    out[rows, cols] = _encode_samples(np.array([fill]), 255)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -186,16 +203,21 @@ def cmd_attack(args) -> int:
     # written so that NaN, which fails every comparison, is rejected too
     if args.compress_t is not None and not args.compress_t >= 0:
         raise UsageError(f"--compress-t: expected a number >= 0, got {args.compress_t}")
-    image = read_image(args.image)
-    if args.compress_t is not None:
-        result = wavelet_compress(image, args.compress_t)
+    if not 0 <= args.fill <= 1:
+        raise UsageError(f"--fill: expected a number in [0, 1], got {args.fill}")
+    rect = None if args.crop is None else _parse_rect("--crop", args.crop)
+    samples, maxval = _read_samples(args.image)
+    if rect is None:
+        out = _compressor(samples, maxval)(args.compress_t)
     else:
-        result = crop(image, _parse_rect(args.crop), fill=args.fill)
-    write_image(result, args.out)
+        out = _cropped(_to_8bit(samples, maxval), rect, args.fill)
+    _write_samples(args.out, out, 255)
     return 0
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed: expected an integer >= 0, got {args.seed}")
     host = synthesize_host(args.kind, size=args.size, seed=args.seed)
     write_image(host, args.out)
     return 0
@@ -205,7 +227,7 @@ def cmd_bench(args) -> int:
     thresholds = _parse_thresholds(args.thresholds)
     rects = None
     if args.crops is not None:
-        rects = [_parse_rect(part) for part in args.crops.split(";") if part]
+        rects = [_parse_rect("--crops", part) for part in args.crops.split(";") if part]
         if not rects:
             raise UsageError("--crops must name at least one rectangle")
     _check_delta_flag(args.delta)
@@ -280,25 +302,15 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         return [failed("embed", "-")]
     height, width = host.shape[:2]
 
-    def cropped(rect):
-        rows, cols = rect.window(width, height)
-        out = marked.copy()
-        out[rows, cols] = 0  # crop's fill 0.0, encoded
-        return out
-
     # (scenario, param label, attack): the attack gets the parsed value,
-    # never its label read back.  Compression holds one float plane at a
-    # time: the compressor decomposes the channels one by one, and a row
-    # encodes each synthesis plane into its 8-bit samples.
-    compress = wavelet_compressor(plane / 255 for plane in marked.transpose(2, 0, 1))
+    # never its label read back
+    compress = _compressor(marked, 255)
     scenarios = [("clean", "-", lambda: marked)]
-    scenarios += [
-        ("compress", f"{t:g}", lambda t=t: _file_samples(compress(t), 255, in_place=True))
-        for t in thresholds
-    ]
+    scenarios += [("compress", f"{t:g}", lambda t=t: compress(t)) for t in thresholds]
     host_rects = rects if rects is not None else _default_rects(width, height)
     scenarios += [
-        ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: cropped(r)) for r in host_rects
+        ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: _cropped(marked, r, 0.0))
+        for r in host_rects
     ]
 
     rows = [None] * len(scenarios)

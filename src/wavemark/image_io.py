@@ -220,27 +220,23 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     """
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
-    samples = _file_samples(img.data, maxval)
+    samples = _file_samples((plane.copy() for plane in img.data), maxval)
     _write_samples(path, samples, maxval)
     return _to_image(samples, maxval)
 
 
-def _file_samples(planes, maxval: int, in_place: bool = False) -> np.ndarray:
-    """The samples :func:`write_image` writes for a sequence of (height,
-    width) planes, one per channel, interleaved to (height, width,
-    channels) in the file's sample type.  The planes are encoded one at a
-    time, each into itself when ``in_place`` says the caller is done with
-    them."""
-    sample = np.uint8 if maxval == 255 else np.dtype(">u2")  # 16-bit: MSB first
-    out = None
-    for ch in range(len(planes)):
-        plane = planes[ch]
-        ints = _encode_samples(plane, maxval, out=plane if in_place else None)
-        if out is None:
-            out = np.empty((*ints.shape, len(planes)), sample)
-        out[..., ch] = ints
-        del plane, ints  # before the next plane is made
-    return out
+def _file_samples(planes, maxval: int) -> np.ndarray:
+    """The samples :func:`write_image` writes for (height, width) planes,
+    one per channel, interleaved to (height, width, channels) in the
+    file's sample type.  Each plane is encoded into itself, so the caller
+    hands over planes it is done with.  The planes are taken in turn, so a
+    generator may make each one after the last is encoded."""
+    sample = np.dtype(np.uint8 if maxval == 255 else ">u2")  # 16-bit: MSB first
+    ints = []
+    for plane in planes:
+        ints.append(_encode_samples(plane, maxval, out=plane).astype(sample))
+        del plane  # before the next plane is made
+    return np.stack(ints, axis=-1, dtype=sample)
 
 
 def _write_samples(path, samples: np.ndarray, maxval: int) -> None:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavemark import PlanarImage, read_image, read_watermark, write_image, write_watermark
+from wavemark import PlanarImage, ber, nc, pearson, psnr, read_image, read_watermark
+from wavemark import write_image, write_watermark
 from wavemark.cli import _on_every_cpu, main
 from conftest import make_mark
 
@@ -65,6 +66,13 @@ class TestSynth:
 
     def test_bad_size(self, tmp_path):
         assert main(["synth", str(tmp_path / "x.ppm"), "--size", "100"]) == 4
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.ppm"
+        assert main(["synth", str(out), "--kind", "noise", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: usage: --seed") and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("size", ["0", "-8"])
     def test_non_positive_size(self, tmp_path, capsys, size):
@@ -189,6 +197,22 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "--compress-t" in err
         assert not (workdir / "a.ppm").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--crop", "1,2,3"], "--crop"),
+        (["--crop", "0,0,8,-8"], "--crop"),
+        (["--crop", "0,0,8,8", "--fill", "2"], "--fill"),
+        (["--crop", "0,0,8,8", "--fill", "-0.5"], "--fill"),
+        (["--crop", "0,0,8,8", "--fill", "nan"], "--fill"),
+        (["--compress-t", "3", "--fill", "7"], "--fill"),
+    ])
+    def test_bad_crop_flags_before_the_image(self, workdir, capsys, flags, named):
+        # a missing image would exit io (3): the flags are checked first
+        out = workdir / "a.ppm"
+        assert main(["attack", str(workdir / "missing.ppm"), str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: usage:") and named in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_infinite_delta_flag(self, workdir, capsys):
         code, _, _ = _embed(workdir, "--delta", "inf")
@@ -517,6 +541,32 @@ class TestBench:
         )
         failed = [i for i, row in enumerate(rows) if row[3:] == ["FAILED"] * 4]
         assert failed == [len(scenarios) - 1, len(scenarios), 2 * len(scenarios)]
+
+    def test_rows_equal_the_cli_pipeline(self, tmp_path, capsys):
+        # embed, attack and extract give each row's nc and ber, and the
+        # attacked file against the host its psnr and pearson
+        host, mark = tmp_path / "host.ppm", tmp_path / "wm.pbm"
+        assert main(["synth", str(host), "--size", "256", "--kind", "noise", "--seed", "3"]) == 0
+        write_watermark(make_mark(), mark)
+        assert main(["bench", str(host), str(mark), "--seed", "42", "--format", "csv"]) == 0
+        import csv as _csv
+
+        rows = list(_csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        marked, key, rec = tmp_path / "marked.ppm", tmp_path / "key.txt", tmp_path / "rec.pbm"
+        assert main(["embed", str(host), str(mark), str(marked), str(key), "--seed", "42"]) == 0
+        scenarios = [("clean", "-", []), *(("compress", t, ["--compress-t", t]) for t in "357")]
+        scenarios += [("crop", r, ["--crop", r]) for r in ("0,0,128,128", "64,64,128,128")]
+        original, bits, want = read_image(host), make_mark(), []
+        for scenario, param, flags in scenarios:
+            attacked = tmp_path / "attacked.ppm" if flags else marked
+            if flags:
+                assert main(["attack", str(marked), str(attacked), *flags]) == 0
+            assert main(["extract", str(attacked), str(key), str(rec)]) == 0
+            image, recovered = read_image(attacked), read_watermark(rec)
+            want.append([str(host), scenario, param, f"{psnr(original, image):.4f}",
+                         f"{pearson(original, image):.6f}", f"{nc(bits, recovered):.6f}",
+                         f"{ber(bits, recovered):.4f}"])
+        assert rows == want
 
     def test_failed_row_continues(self, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"

@@ -356,5 +356,5 @@ class TestPlanes:
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, reference)
-        scratch = planes.copy()
-        assert _file_samples(scratch, maxval, in_place=True).tobytes() == want.tobytes()
+        # each plane was encoded into itself
+        assert np.array_equal(planes, np.moveaxis(want, -1, 0))

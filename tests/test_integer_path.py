@@ -1,10 +1,11 @@
 """The command line's integer path against the library's float path.
 
-``embed``, ``extract`` and ``bench`` keep a host as its integer file
-samples and turn only the mark's band of rows into floats.  Every output
-must equal what the float path, ``write_image(embed(read_image(host)))``,
-gives: the written bytes, the key, the printed report line, the recovered
-mark and every cell of the bench table.
+``embed``, ``extract``, ``attack`` and ``bench`` keep a host as its
+integer file samples and turn only the mark's band of rows, or one
+channel plane at a time, into floats.  Every output must equal what the
+float path, ``write_image(embed(read_image(host)))``, gives: the written
+bytes, the key, the printed report line, the recovered mark, the attacked
+file and every cell of the bench table.
 """
 
 import math
@@ -26,10 +27,10 @@ MAXVALS = [1, 7, 100, 255, 256, 1000, 65535]
 
 
 def _write_host(path, samples, maxval, magic):
-    """A P3 or P6 file of (height, width, 3) integer samples."""
+    """A P2, P3, P5 or P6 file of (height, width, channels) integer samples."""
     height, width, _ = samples.shape
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
-    if magic == b"P6":
+    if magic in (b"P5", b"P6"):
         payload = samples.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
     else:
         payload = " ".join(map(str, samples.reshape(-1).tolist())).encode() + b"\n"
@@ -110,6 +111,30 @@ def test_cli_matches_float_path_for_any_host(
     mark = BitMatrix(rng.integers(0, 2, (1, n)))
     magic = data.draw(st.sampled_from([b"P6", b"P3"]), label="magic")
     _assert_cli_matches_float_path(tmp_path, capsys, samples, maxval, magic, mark, seed)
+
+
+@pytest.mark.parametrize("maxval", [1, 7, 255, 1000, 65535])
+@pytest.mark.parametrize("magic", [b"P2", b"P3", b"P5", b"P6"])
+def test_attack_matches_float_path(tmp_path, magic, maxval):
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    samples = np.random.default_rng([maxval, channels]).integers(
+        0, maxval, (32, 48, channels), endpoint=True)
+    host, out, ref = tmp_path / "host.pnm", tmp_path / "out.ppm", tmp_path / "ref.ppm"
+    _write_host(host, samples, maxval, magic)
+    image = read_image(host)
+    for t in (0.0, 3.0, 80.0, math.inf):
+        assert main(["attack", str(host), str(out), "--compress-t", f"{t:g}"]) == 0
+        write_image(wavelet_compress(image, t), ref)
+        assert out.read_bytes() == ref.read_bytes()
+    # a fill of 0.5 is a rounding tie; the last three reach the right and
+    # bottom edges
+    for rect, fill in [(CropRect(0, 0, 0, 0), 0.0), (CropRect(5, 3, 11, 7), 0.5),
+                       (CropRect(40, 20, 8, 12), 0.3), (CropRect(47, 31, 1, 1), 0.7),
+                       (CropRect(0, 0, 48, 32), 1.0)]:
+        flags = ["--crop", f"{rect.x},{rect.y},{rect.w},{rect.h}", "--fill", str(fill)]
+        assert main(["attack", str(host), str(out), *flags]) == 0
+        write_image(crop(image, rect, fill), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 def _float_path_rows(path, mark, thresholds, rects, seed):
