@@ -11,12 +11,12 @@ floats for the library ``embed`` or ``extract``.  ``embed`` and ``attack``
 always write maxval 255; ``embed`` copies the host's rows below the band,
 or requantizes them when its maxval is not 255.  ``attack`` and ``bench``
 share one compression, which decomposes one float plane at a time and
-encodes each synthesis plane as a write would, and one crop, which blanks
-its rectangle in the 8-bit samples; ``bench`` runs each scenario on the
-file ``embed`` writes.  The report line and every bench row's PSNR and
-Pearson come from exact integer sums; a constant image's undefined
-Pearson reads ``nan``.  A host's rows are computed on the CPUs the process
-may use, with the same bytes and in the same order as on one.
+encodes each synthesis plane as a write would; ``bench`` runs each
+scenario on the file ``embed`` writes.  The report line and every bench
+row's PSNR and Pearson come from exact integer sums of the host, taken
+once, and of only the rows or rectangle the step changed; a constant
+image's undefined Pearson reads ``nan``.  A host's rows are computed on
+the CPUs the process may use, with the same bytes and order as on one.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr.  Exit codes: 0 success, 2 usage, 3 data/format,
@@ -46,7 +46,7 @@ from .image_io import (
     write_image,
     write_watermark,
 )
-from .metrics import _written_metrics, ber, nc
+from .metrics import _host_sums, _output_sums, _psnr_pearson, ber, nc
 from .synth import KINDS, synthesize_host
 from .watermark import (
     DEFAULT_DELTA,
@@ -85,10 +85,6 @@ class BenchRow(NamedTuple):
 
 
 _CSV_HEADER = BenchRow._fields
-
-
-def _fresh_seed() -> int:
-    return secrets.randbits(64)
 
 
 def _parse_rect(flag: str, text: str) -> CropRect:
@@ -140,13 +136,19 @@ def _check_seed_flag(seed, hosts: int) -> None:
 
 def _embed_8bit(host, maxval, wm, seed, delta):
     """The 8-bit samples ``embed`` writes for a host's integer samples,
-    shaped like them, and the key."""
+    shaped like them, the key, the host's sums and the output's sums."""
     band = _mark_band(*host.shape[:2], DEFAULT_LEVELS, wm.size)
     # the band is its own mark band, so this is the library embed
     marked, key = embed(_to_image(host[:band], maxval), wm, seed=seed, delta=delta)
     out = _to_8bit(host, maxval)
-    out[:band] = _file_samples(marked.data, 255)
-    return out, key
+    _file_samples(marked.data, 255, out[:band])
+    (tx, txx), (bx, bxx) = _host_sums(host[:band]), _host_sums(host[band:])
+    if maxval == 255:  # below the band, y is x
+        ty, tyy, txy = _output_sums(host[:band], out[:band])
+        sums = (ty + bx, tyy + bxx, txy + bxx)
+    else:  # below the band, y is lut[x]
+        sums = _output_sums(host, out)
+    return out, key, (tx + bx, txx + bxx), sums
 
 
 def _extract_samples(samples, maxval, key):
@@ -160,16 +162,7 @@ def _compressor(samples, maxval):
     """``t -> `` the 8-bit samples ``write_image(wavelet_compress(img, t))``
     writes for ``img = samples / maxval``, made one float plane at a time."""
     compress = wavelet_compressor(plane / maxval for plane in samples.transpose(2, 0, 1))
-    return lambda t: _file_samples(compress(t), 255)
-
-
-def _cropped(samples, rect, fill):
-    """A copy of 8-bit samples with ``rect`` blanked: the bytes
-    ``write_image(crop(img, rect, fill))`` writes for ``img = samples / 255``."""
-    rows, cols = rect.window(samples.shape[1], samples.shape[0])
-    out = samples.copy()
-    out[rows, cols] = _encode_samples(np.array([fill]), 255)
-    return out
+    return lambda t: _file_samples(compress(t), 255, np.empty(samples.shape, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +174,11 @@ def cmd_embed(args) -> int:
     _check_seed_flag(args.seed, 1)
     host, maxval = _read_host(args.host)
     wm = read_watermark(args.watermark)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    out, key = _embed_8bit(host, maxval, wm, seed, args.delta)
+    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    out, key, host_sums, sums = _embed_8bit(host, maxval, wm, seed, args.delta)
     _write_samples(args.out_image, out, 255)
     save_key(key, args.out_key)
-    psnr_db, r = _written_metrics(host, maxval, out)
+    psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
     print(f"psnr_db={psnr_db:.4f} pearson={r:.6f}")
     return 0
 
@@ -209,8 +202,10 @@ def cmd_attack(args) -> int:
     samples, maxval = _read_samples(args.image)
     if rect is None:
         out = _compressor(samples, maxval)(args.compress_t)
-    else:
-        out = _cropped(_to_8bit(samples, maxval), rect, args.fill)
+    else:  # the bytes write_image(crop(img, rect, fill)) writes
+        out = _to_8bit(samples, maxval)
+        rows, cols = rect.window(samples.shape[1], samples.shape[0])
+        out[rows, cols] = _encode_samples(np.array([args.fill]), 255)
     _write_samples(args.out, out, 255)
     return 0
 
@@ -236,7 +231,7 @@ def cmd_bench(args) -> int:
     rows: list[BenchRow] = []
     for index, path in enumerate(args.hosts):
         # host i embeds with seed + i, so a pinned seed gives byte-identical runs
-        seed = args.seed + index if args.seed is not None else _fresh_seed()
+        seed = args.seed + index if args.seed is not None else secrets.randbits(64)
         rows.extend(_bench_host(path, wm, thresholds, rects, seed, args.delta))
     sys.stdout.write((format_csv if args.format == "csv" else format_text)(rows))
     return 0
@@ -288,8 +283,10 @@ def _on_every_cpu(n: int, task) -> None:
 def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]:
     """One host's rows, in scenario order: clean, each threshold, each crop.
 
-    The rows are computed on every CPU the process may use; each stores its
-    row at its own index, so neither the bytes nor the order depend on them.
+    A crop row's sums are the clean row's less its rectangle's, which fill
+    0 sets to 0.  The rows are computed on every CPU the process may use;
+    each stores its row at its own index, so neither the bytes nor the
+    order depend on them.
     """
     def failed(scenario: str, param: str) -> BenchRow:
         return BenchRow(path, scenario, param, _FAILED, _FAILED, _FAILED, _FAILED)
@@ -297,20 +294,32 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     try:
         host, maxval = _read_host(path)
         # bench rows describe the file pipeline: the 8-bit file embed writes
-        marked, key = _embed_8bit(host, maxval, wm, host_seed, delta)
+        marked, key, host_sums, clean = _embed_8bit(host, maxval, wm, host_seed, delta)
     except (WavemarkError, ValueError, OSError):
         return [failed("embed", "-")]
     height, width = host.shape[:2]
+    band = _mark_band(height, width, key.levels, key.offset + key.n)
+    compress = _compressor(marked, 255)
+
+    def compressed(t):
+        out = compress(t)
+        return out, _output_sums(host, out)
+
+    def cropped(rect):
+        rows, cols = rect.window(width, height)
+        # extraction reads the band alone, and the rectangle's samples read 0
+        top = marked[:band].copy()
+        top[rows, cols] = 0
+        cut = _output_sums(host[rows, cols], marked[rows, cols])
+        return top, tuple(c - k for c, k in zip(clean, cut))
 
     # (scenario, param label, attack): the attack gets the parsed value,
-    # never its label read back
-    compress = _compressor(marked, 255)
-    scenarios = [("clean", "-", lambda: marked)]
-    scenarios += [("compress", f"{t:g}", lambda t=t: compress(t)) for t in thresholds]
+    # never its label read back; it returns what extraction reads, and sums
+    scenarios = [("clean", "-", lambda: (marked, clean))]
+    scenarios += [("compress", f"{t:g}", lambda t=t: compressed(t)) for t in thresholds]
     host_rects = rects if rects is not None else _default_rects(width, height)
     scenarios += [
-        ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: _cropped(marked, r, 0.0))
-        for r in host_rects
+        ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: cropped(r)) for r in host_rects
     ]
 
     rows = [None] * len(scenarios)
@@ -318,9 +327,9 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     def run(i: int) -> None:
         scenario, param, attack = scenarios[i]
         try:
-            attacked = attack()
+            attacked, sums = attack()
             recovered = _extract_samples(attacked, 255, key)
-            psnr_db, r = _written_metrics(host, maxval, attacked)
+            psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
             rows[i] = BenchRow(path, scenario, param, f"{psnr_db:.4f}", f"{r:.6f}",
                                f"{nc(wm, recovered):.6f}", f"{ber(wm, recovered):.4f}")
         except (WavemarkError, ValueError, OSError):
@@ -332,10 +341,7 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
 
 def format_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([_CSV_HEADER, *rows])
     return buf.getvalue()
 
 

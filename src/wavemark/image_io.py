@@ -156,14 +156,17 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
 
     bad_token = None
     if magic in (b"P1", b"P2", b"P3"):
-        body = _COMMENT.sub(b"", data[pos:])
+        body = data[pos:]
+        body = _COMMENT.sub(b"", body) if b"#" in body else body
         if magic == b"P1":
             # bits may run together; any byte but 0 or 1 lands above maxval
             samples = np.frombuffer(body.translate(None, _WHITESPACE), np.uint8) - ord("0")
         else:
             # the samples before the first byte that is neither a digit nor
             # whitespace, less the partial token that byte belongs to
-            bad = _NOT_DIGIT_OR_SPACE.search(body)
+            # a tenth of the search's time, and empty exactly on a clean body
+            dirty = body.translate(None, b"0123456789" + _WHITESPACE)
+            bad = _NOT_DIGIT_OR_SPACE.search(body) if dirty else None
             clean = body if bad is None else body[: bad.start()].rstrip(b"0123456789")
             if bad is not None:
                 bad_token = _TOKEN.match(body, len(clean))[1]
@@ -220,23 +223,24 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     """
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
-    samples = _file_samples((plane.copy() for plane in img.data), maxval)
+    sample = np.uint8 if maxval == 255 else ">u2"  # 16-bit: MSB first
+    out = np.empty((img.height, img.width, img.channels), sample)
+    samples = _file_samples((plane.copy() for plane in img.data), maxval, out)
     _write_samples(path, samples, maxval)
     return _to_image(samples, maxval)
 
 
-def _file_samples(planes, maxval: int) -> np.ndarray:
-    """The samples :func:`write_image` writes for (height, width) planes,
-    one per channel, interleaved to (height, width, channels) in the
-    file's sample type.  Each plane is encoded into itself, so the caller
-    hands over planes it is done with.  The planes are taken in turn, so a
-    generator may make each one after the last is encoded."""
-    sample = np.dtype(np.uint8 if maxval == 255 else ">u2")  # 16-bit: MSB first
-    ints = []
+def _file_samples(planes, maxval: int, out: np.ndarray) -> np.ndarray:
+    """``out``, a (height, width, channels) array of the file's sample type,
+    with the samples :func:`write_image` writes for plane c in ``out[..., c]``.
+    Each (height, width) plane is encoded into itself, so the caller hands
+    over planes it is done with; a generator may make each after the last."""
+    # not enumerate: the result tuple it reuses would hold each plane too long
+    channels = iter(range(out.shape[2]))
     for plane in planes:
-        ints.append(_encode_samples(plane, maxval, out=plane).astype(sample))
+        out[..., next(channels)] = _encode_samples(plane, maxval, out=plane)
         del plane  # before the next plane is made
-    return np.stack(ints, axis=-1, dtype=sample)
+    return out
 
 
 def _write_samples(path, samples: np.ndarray, maxval: int) -> None:

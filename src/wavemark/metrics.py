@@ -1,4 +1,8 @@
-"""Quality and fidelity measures: PSNR, Pearson correlation, NC, BER."""
+"""Quality and fidelity measures: PSNR, Pearson correlation, NC, BER.
+
+:func:`psnr` and :func:`pearson` are the float reference.  The command line
+gets them from exact integer sums that add over regions, so it sums only
+the samples that differ from the host."""
 
 import math
 
@@ -51,26 +55,41 @@ def pearson(a: PlanarImage, b: PlanarImage) -> float:
     return float(min(max(r, -1.0), 1.0))
 
 
-def _written_metrics(host: np.ndarray, maxval: int, out: np.ndarray) -> tuple[float, float]:
-    """:func:`psnr` and :func:`pearson` of ``host / maxval`` against
-    ``out / 255``, two integer sample arrays of one shape, from exact sums;
-    the correlation is ``nan`` where :func:`pearson` raises.
+def _blocks(*arrays):
+    """Float64 blocks of at most _BLOCK samples, taken in step from integer
+    arrays of one shape (one array gives arrays, not 1-tuples).  A block's
+    sums are integers below 2**53, exact in float64 in any order, so as
+    Python ints they add up exactly over blocks and regions."""
+    return np.nditer(arrays, ["external_loop", "buffered", "zerosize_ok"],
+                     [["readonly"]] * len(arrays), op_dtypes=["f8"] * len(arrays),
+                     buffersize=_BLOCK)
 
-    Each block's sums are integers below 2**53, which float64 holds exactly
-    in any order of addition, and Python ints add the blocks up.  Pearson
-    does not depend on scale, so it reads the integers as they are.
-    """
-    xs, ys = host.reshape(-1), out.reshape(-1)
-    sx = sy = sxx = syy = sxy = 0
-    for i in range(0, xs.size, _BLOCK):
-        x = xs[i : i + _BLOCK].astype(np.float64)
-        y = ys[i : i + _BLOCK].astype(np.float64)
-        sx, sy = sx + int(x.sum()), sy + int(y.sum())
-        # einsum, not x @ y: OpenBLAS threads busy-wait after each dot, taking bench's CPUs
-        sxx += int(np.einsum("i,i", x, x))
-        syy += int(np.einsum("i,i", y, y))
-        sxy += int(np.einsum("i,i", x, y))
-    n = xs.size
+
+def _host_sums(x: np.ndarray) -> tuple[int, int]:
+    """Σx and Σx² of integer samples, exactly."""
+    sx = sxx = 0
+    for b in _blocks(x):
+        # einsum, not b @ b: OpenBLAS threads busy-wait after each dot, taking bench's CPUs
+        sx, sxx = sx + int(np.einsum("i->", b)), sxx + int(np.einsum("i,i", b, b))
+    return sx, sxx
+
+
+def _output_sums(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
+    """Σy, Σy² and Σxy of host samples ``x`` and output samples ``y``, integer
+    arrays of one shape, exactly."""
+    sy = syy = sxy = 0
+    for xb, yb in _blocks(x, y):
+        sy += int(np.einsum("i->", yb))
+        syy += int(np.einsum("i,i", yb, yb))
+        sxy += int(np.einsum("i,i", xb, yb))
+    return sy, syy, sxy
+
+
+def _psnr_pearson(n: int, maxval: int, host_sums, output_sums) -> tuple[float, float]:
+    """:func:`psnr` and :func:`pearson` of n samples ``host / maxval`` and
+    ``out / 255`` from their sums; the correlation is ``nan`` where
+    :func:`pearson` raises, and reads the integers, as it has no scale."""
+    (sx, sxx), (sy, syy, sxy) = host_sums, output_sums
     # sum((255 x - maxval y)**2): the squared error on the 255 scale, times maxval**2
     sse = 255**2 * sxx - 2 * 255 * maxval * sxy + maxval**2 * syy
     psnr_db = math.inf if sse == 0 else 10.0 * math.log10(255**2 * n * maxval**2 / sse)

@@ -351,7 +351,7 @@ class TestPlanes:
         sample = np.uint8 if maxval == 255 else np.dtype(">u2")
         want = np.stack(_encode_samples(planes, maxval), axis=-1, dtype=sample, casting="unsafe")
         reference = np.clip(round_half_away(planes * maxval), 0, maxval).transpose(1, 2, 0)
-        got = _file_samples(planes, maxval)
+        got = _file_samples(planes, maxval, np.empty((rows, 64, channels), sample))
         assert got.dtype == sample and got.shape == (rows, 64, channels)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()

@@ -164,25 +164,51 @@ def _float_path_rows(path, mark, thresholds, rects, seed):
     return rows
 
 
+@pytest.mark.parametrize("maxval", [255, 1000])
+def test_embed_of_a_constant_host_reads_nan_pearson(tmp_path, capsys, maxval):
+    mark = make_mark(2, 8)
+    # rows below the band keep the host's constant samples
+    assert _mark_band(128, 64, DEFAULT_LEVELS, mark.size) < 128
+    samples = np.full((128, 64, 3), maxval // 3)
+    _assert_cli_matches_float_path(tmp_path, capsys, samples, maxval, b"P6", mark, seed=5)
+    argv = [str(tmp_path / name) for name in ("host.ppm", "mark.pbm", "out.ppm", "out.key")]
+    assert main(["embed", *argv, "--seed", "5"]) == 0
+    assert capsys.readouterr().out.endswith(" pearson=nan\n")
+
+
 @pytest.mark.parametrize("height", [64, 32])
 @pytest.mark.parametrize("maxval", [1, 7, 255, 1000, 65535])
 @pytest.mark.parametrize("magic", [b"P6", b"P3"])
 def test_bench_matches_float_path(tmp_path, magic, maxval, height):
     mark = make_mark(2, 8)
+    band = _mark_band(height, 64, DEFAULT_LEVELS, mark.size)
     # 64 rows leave rows below the band; in 32 rows the band is the image
-    assert (_mark_band(height, 64, DEFAULT_LEVELS, mark.size) < height) == (height == 64)
+    assert (band < height) == (height == 64)
     host, mark_path = tmp_path / "host.ppm", tmp_path / "mark.pbm"
     _write_host(host, _host_samples(np.random.default_rng([maxval, height]), height, 64, maxval),
                 maxval, magic)
     write_watermark(mark, mark_path)
     thresholds = [0.0, 3.0, 80.0, math.inf]
+    runs = [(None, _default_rects(64, height))]
+    if maxval in (255, 1000):
+        # crop rows take the clean row's sums less the rectangle's: the whole
+        # image, whose Pearson reads nan, and a zero area; where rows lie
+        # below the band, a rectangle wholly below it and one across its
+        # last row
+        regions = [CropRect(0, 0, 64, height), CropRect(9, 5, 0, 0)]
+        if band < height:
+            regions += [CropRect(3, band, 50, height - band), CropRect(10, band - 5, 30, 10)]
+        runs.append((regions, regions))
     # one rectangle reaches the right and bottom edges, one passes them
     edges = [CropRect(40, height - 20, 24, 20), CropRect(40, height - 20, 25, 20)]
-    for rects, want_rects in ((None, _default_rects(64, height)), (edges, edges)):
+    runs.append((edges, edges))
+    for rects, want_rects in runs:
         rows = _bench_host(str(host), read_watermark(mark_path), thresholds, rects, maxval,
                            DEFAULT_DELTA)
         got = [tuple(row) for row in rows]
         assert got == _float_path_rows(host, mark, thresholds, want_rects, seed=maxval)
+        if rects is not None and rects[0] == CropRect(0, 0, 64, height):
+            assert got[-len(rects)][4] == "nan"
     assert got[-1][3:] == ("FAILED",) * 4
 
 

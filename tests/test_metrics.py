@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemark import BitMatrix, PlanarImage, ber, nc, pearson, psnr
+from wavemark.image_io import _to_8bit
+from wavemark.metrics import _host_sums, _output_sums, _psnr_pearson
 
 
 def _img(arr):
@@ -131,3 +135,53 @@ class TestBer:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ber(BitMatrix(np.ones((2, 2))), BitMatrix(np.ones((3, 2))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    maxval=st.integers(1, 65535),
+    height=st.integers(8, 128),
+    width=st.integers(1, 40),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_region_sums_match_the_float_metrics(maxval, height, width, constant, seed, data):
+    # an 8-bit output that differs from the host's encoding only in a top
+    # band and in one zeroed rectangle, summed by region as the CLI does
+    rng = np.random.default_rng(seed)
+    shape = (height, width, 3)
+    if constant:
+        host = np.full(shape, rng.integers(0, maxval, endpoint=True))
+    else:
+        host = rng.integers(0, maxval, shape, endpoint=True)
+    band = data.draw(st.integers(0, height), label="band")
+    y0 = data.draw(st.integers(0, height), label="y")
+    x0 = data.draw(st.integers(0, width), label="x")
+    rect = (slice(y0, data.draw(st.integers(y0, height), label="y end")),
+            slice(x0, data.draw(st.integers(x0, width), label="x end")))
+    out = _to_8bit(host, maxval)
+    out[:band] = rng.integers(0, 255, (band, width, 3), endpoint=True)
+
+    below = _host_sums(host[band:])
+    rest = _output_sums(host[band:], out[band:])
+    if maxval == 255:  # below the band, y is x
+        assert rest == (below[0], below[1], below[1])
+    top = _output_sums(host[:band], out[:band])
+    clean = tuple(t + b for t, b in zip(top, rest))
+    assert clean == _output_sums(host, out)
+    assert tuple(t + b for t, b in zip(_host_sums(host[:band]), below)) == _host_sums(host)
+    cut = _output_sums(host[rect], out[rect])
+    out[rect] = 0
+    sums = tuple(c - k for c, k in zip(clean, cut))
+    assert sums == _output_sums(host, out)
+
+    psnr_db, r = _psnr_pearson(host.size, maxval, _host_sums(host), sums)
+    x = _img(host.transpose(2, 0, 1) / maxval)
+    y = _img(out.transpose(2, 0, 1) / 255)
+    assert f"{psnr_db:.4f}" == f"{psnr(x, y):.4f}"
+    try:
+        want = f"{pearson(x, y):.6f}"
+    except ValueError:  # a constant image has no correlation
+        want = "nan"
+    assert f"{r:.6f}" == want
