@@ -45,19 +45,11 @@ class CropRect:
         return slice(self.y, self.y + self.h), slice(self.x, self.x + self.w)
 
 
-def wavelet_compressor(
-    planes: Iterable[np.ndarray],
-) -> Callable[[float], Iterator[np.ndarray]]:
-    """Return ``t255 -> `` the synthesis planes of ``wavelet_compress(img,
-    t255)``, not yet clipped to [0, 1], for a sweep of thresholds.
-
-    ``planes`` are the image's channel planes, taken as valid and each
-    decomposed as it comes, so a generator may make them one at a time.
-    The compressor keeps the pyramids, not the planes, and threads may
-    share it.  A call checks the threshold and returns a generator that
-    makes each channel's synthesis plane when it is asked for: a new array
-    the caller may overwrite.
-    """
+def wavelet_compressor(planes: Iterable[np.ndarray]) -> Callable[[float], Iterator[np.ndarray]]:
+    """Return ``t255 -> `` a generator of the synthesis planes of
+    ``wavelet_compress(img, t255)`` for the channel ``planes`` of ``img``,
+    not yet clipped to [0, 1], for a sweep of thresholds.  Each call
+    checks its threshold, and each plane is a new array."""
     pyramids = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in planes]
 
     def compress(t255: float) -> Iterator[np.ndarray]:

@@ -10,13 +10,14 @@ samples.  ``embed`` and ``extract`` turn only the mark's band of rows into
 floats for the library ``embed`` or ``extract``.  ``embed`` and ``attack``
 always write maxval 255; ``embed`` copies the host's rows below the band,
 or requantizes them when its maxval is not 255.  ``attack`` and ``bench``
-share one compression, which decomposes one float plane at a time and
-encodes each synthesis plane as a write would; ``bench`` runs each
-scenario on the file ``embed`` writes.  The report line and every bench
-row's PSNR and Pearson come from exact integer sums of the host, taken
-once, and of only the rows or rectangle the step changed; a constant
-image's undefined Pearson reads ``nan``.  A host's rows are computed on
-the CPUs the process may use, with the same bytes and order as on one.
+share one compression, which decomposes each channel's integer samples
+with no float copy of them and encodes each synthesis as a write would;
+``bench`` runs each scenario on the file ``embed`` writes.  The report
+line and every bench row's PSNR and Pearson come from exact integer sums
+of the host, taken once, and of only the rows or rectangle the step
+changed; a constant image's undefined Pearson reads ``nan``.  A host's
+three channel analyses, then its rows, are computed on the CPUs the
+process may use, with the same bytes and order as on one.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr.  Exit codes: 0 success, 2 usage, 3 data/format,
@@ -29,11 +30,12 @@ import io
 import os
 import secrets
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import CropRect, wavelet_compressor
+from .attacks import CropRect
 from .errors import CapacityError, DimensionError, FormatError, WavemarkError
 from .image_io import (
     _encode_samples,
@@ -58,6 +60,7 @@ from .watermark import (
     load_key,
     save_key,
 )
+from .wavelet import _analyse, _pyramid_grids, _thresholded_inverse, check_dimensions
 
 __all__ = ["main"]
 
@@ -159,10 +162,30 @@ def _extract_samples(samples, maxval, key):
 
 
 def _compressor(samples, maxval):
-    """``t -> `` the 8-bit samples ``write_image(wavelet_compress(img, t))``
-    writes for ``img = samples / maxval``, made one float plane at a time."""
-    compress = wavelet_compressor(plane / maxval for plane in samples.transpose(2, 0, 1))
-    return lambda t: _file_samples(compress(t), 255, np.empty(samples.shape, np.uint8))
+    """``analyse(c)``, which fills channel c's pyramid of ``img = samples /
+    maxval`` in grids allocated here, and ``compress(t)``, the 8-bit samples
+    ``write_image(wavelet_compress(img, t))`` writes.  ``compress`` waits for
+    each analysis, which may run on another thread, and raises ValueError if it raised."""
+    height, width, channels = samples.shape
+    check_dimensions(height, width, DEFAULT_LEVELS)
+    grids = [_pyramid_grids(height, width, DEFAULT_LEVELS) for _ in range(channels)]
+    pyramids = [None] * channels
+    ready = [threading.Event() for _ in range(channels)]
+
+    def analyse(c):
+        try:
+            pyramids[c] = _analyse(samples[..., c], maxval, grids[c])
+        finally:  # so that no compress waits for ever
+            ready[c].set()
+
+    def planes(t):
+        for c in range(channels):
+            ready[c].wait()
+            if pyramids[c] is None:
+                raise ValueError(f"channel {c} has no pyramid: its analysis failed")
+            yield _thresholded_inverse(pyramids[c], t / 255.0)
+
+    return analyse, lambda t: _file_samples(planes(t), 255, np.empty(samples.shape, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,10 @@ def cmd_attack(args) -> int:
     rect = None if args.crop is None else _parse_rect("--crop", args.crop)
     samples, maxval = _read_samples(args.image)
     if rect is None:
-        out = _compressor(samples, maxval)(args.compress_t)
+        analyse, compress = _compressor(samples, maxval)
+        for c in range(samples.shape[2]):
+            analyse(c)
+        out = compress(args.compress_t)
     else:  # the bytes write_image(crop(img, rect, fill)) writes
         out = _to_8bit(samples, maxval)
         rows, cols = rect.window(samples.shape[1], samples.shape[0])
@@ -252,6 +278,8 @@ def _default_rects(width: int, height: int) -> list[CropRect]:
 def _on_every_cpu(n: int, task) -> None:
     """Call ``task(i)`` for every i in range(n) on the calling thread and
     one worker thread per extra CPU, each taking the next i when it is free.
+    Indices are taken in order, so a task may wait for a lower index that
+    never waits itself: a thread has already taken it.
 
     The calling thread does its share: each thread allocates from its own
     glibc heap, which keeps its high-water mark, so a worker in its place
@@ -284,9 +312,9 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     """One host's rows, in scenario order: clean, each threshold, each crop.
 
     A crop row's sums are the clean row's less its rectangle's, which fill
-    0 sets to 0.  The rows are computed on every CPU the process may use;
-    each stores its row at its own index, so neither the bytes nor the
-    order depend on them.
+    0 sets to 0.  The channel analyses and the rows are computed on every
+    CPU the process may use; each row is stored at its own index, so
+    neither the bytes nor the order depend on them.
     """
     def failed(scenario: str, param: str) -> BenchRow:
         return BenchRow(path, scenario, param, _FAILED, _FAILED, _FAILED, _FAILED)
@@ -299,7 +327,7 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         return [failed("embed", "-")]
     height, width = host.shape[:2]
     band = _mark_band(height, width, key.levels, key.offset + key.n)
-    compress = _compressor(marked, 255)
+    analyse, compress = _compressor(marked, 255)
 
     def compressed(t):
         out = compress(t)
@@ -335,7 +363,9 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         except (WavemarkError, ValueError, OSError):
             rows[i] = failed(scenario, param)
 
-    _on_every_cpu(len(scenarios), run)
+    # the 3 analyses, then the rows longest first: compress (waiting for them), clean, crops
+    order = [*range(1, 1 + len(thresholds)), 0, *range(1 + len(thresholds), len(scenarios))]
+    _on_every_cpu(3 + len(scenarios), lambda i: analyse(i) if i < 3 else run(order[i - 3]))
     return rows
 
 

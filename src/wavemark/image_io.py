@@ -190,7 +190,7 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: {where}: expected a decimal integer, got {bad_token!r}")
         raise FormatError(f"{path}: truncated payload, file ends before {where}")
     samples = samples[:count]
-    if samples.max() > maxval:
+    if maxval < np.iinfo(samples.dtype).max and samples.max() > maxval:  # else none can exceed it
         first = int(np.argmax(samples > maxval))
         raise FormatError(f"{path}: sample {first} of {count} exceeds maxval {maxval}")
     # file order is row-major, channels interleaved per pixel

@@ -142,17 +142,16 @@ def _lift(
         d /= SCALE
 
 
-def _forward_level(x: np.ndarray, ll_only: bool = False) -> np.ndarray:
-    """One level, rows then columns: the (2, 2, h/2, w/2) grid [[ll, hl],
-    [lh, hh]], or [[ll], [lh]] when ``ll_only`` skips the x-highpass half."""
+def _forward_level(x: np.ndarray, grid: np.ndarray, maxval: int = 1) -> np.ndarray:
+    """One level of ``x / maxval``, rows then columns, into ``grid``: (2, 2,
+    h/2, w/2) for [[ll, hl], [lh, hh]], or (2, 1, h/2, w/2) to skip the
+    x-highpass half.  The division writes straight into the row halves."""
     h, w = x.shape
     rows = np.empty((2, h, w // 2))  # [lowpass, highpass] along x
-    grid = np.empty((2, 1 if ll_only else 2, h // 2, w // 2))
-    rows[0] = x[:, 0::2]
-    rows[1] = x[:, 1::2]
+    np.divide(x[:, 0::2], maxval, out=rows[0])
+    np.divide(x[:, 1::2], maxval, out=rows[1])
     _lift(rows[0, :, :, None], rows[1, :, :, None], free=grid)
-    if ll_only:
-        rows = rows[:1]
+    rows = rows[: grid.shape[1]]
     grid[0] = rows[:, 0::2]
     grid[1] = rows[:, 1::2]
     _lift(grid[0], grid[1], free=rows)
@@ -221,13 +220,22 @@ def dwt2_forward(channel: np.ndarray, levels: int) -> SubbandPyramid:
     on the LL quadrant.  Both dimensions must be divisible by 2**levels.
     The detail bands are views into one grid per level.
     """
-    cur = _check_grid(channel, levels)
-    details = []
-    for _ in range(levels):
-        grid = _forward_level(cur)
-        cur = grid[0, 0]
-        details.append(DetailBands(lh=grid[1, 0], hl=grid[0, 1], hh=grid[1, 1]))
-    return SubbandPyramid(ll=cur, details=tuple(details))
+    channel = _check_grid(channel, levels)
+    return _analyse(channel, 1, _pyramid_grids(*channel.shape, levels))
+
+
+def _pyramid_grids(height: int, width: int, levels: int) -> list[np.ndarray]:
+    """Uninitialised grids for :func:`_analyse` to fill, finest level first."""
+    return [np.empty((2, 2, height >> lvl, width >> lvl)) for lvl in range(1, levels + 1)]
+
+
+def _analyse(samples: np.ndarray, maxval: int, grids: list[np.ndarray]) -> SubbandPyramid:
+    """:func:`dwt2_forward` of 2-D ``samples / maxval`` bit for bit, into
+    ``grids`` from :func:`_pyramid_grids`, with no float copy of ``samples``."""
+    for grid in grids:
+        samples, maxval = _forward_level(samples, grid, maxval)[0, 0], 1
+    details = tuple(DetailBands(lh=g[1, 0], hl=g[0, 1], hh=g[1, 1]) for g in grids)
+    return SubbandPyramid(ll=samples, details=details)
 
 
 def dwt2_ll(channel: np.ndarray, levels: int) -> np.ndarray:
@@ -238,7 +246,7 @@ def dwt2_ll(channel: np.ndarray, levels: int) -> np.ndarray:
     """
     cur = _check_grid(channel, levels)
     for _ in range(levels):
-        cur = _forward_level(cur, ll_only=True)[0, 0]
+        cur = _forward_level(cur, np.empty((2, 1, cur.shape[0] // 2, cur.shape[1] // 2)))[0, 0]
     return cur
 
 

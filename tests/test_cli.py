@@ -478,22 +478,22 @@ class TestBench:
         from wavemark.attacks import CropRect
 
         thresholds, rects = [], []
-        real_compressor, real_window = cli.wavelet_compressor, CropRect.window
+        real_compressor, real_window = cli._compressor, CropRect.window
 
-        def spy_compressor(img):
-            compress = real_compressor(img)
+        def spy_compressor(samples, maxval):
+            analyse, compress = real_compressor(samples, maxval)
 
             def spy(t):
                 thresholds.append(t)
                 return compress(t)
 
-            return spy
+            return analyse, spy
 
         def spy_window(rect, *args, **kwargs):
             rects.append(rect)
             return real_window(rect, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "wavelet_compressor", spy_compressor)
+        monkeypatch.setattr(cli, "_compressor", spy_compressor)
         monkeypatch.setattr(CropRect, "window", spy_window)
         code = main(
             ["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"), "--seed", "42",
@@ -599,6 +599,66 @@ class TestBench:
         for t_row, c_row in zip(text_cells, csv_cells):
             # text rows split on whitespace; rect params contain no spaces
             assert t_row == [c for c in c_row if c != ""] or t_row == c_row
+
+
+class TestParallelAnalyses:
+    """Each host's channel analyses run as tasks of its row pool, and the
+    compress rows wait for them."""
+
+    def test_csv_with_more_threads_than_pyramids(self, workdir, capsys, monkeypatch):
+        noise = workdir / "noise.ppm"
+        assert main(["synth", str(noise), "--size", "256", "--kind", "noise"]) == 0
+        args = ["bench", str(workdir / "host.ppm"), str(noise), str(workdir / "wm.pbm"),
+                "--seed", "42", "--format", "csv", "--thresholds", "0,1,3,5,7,40,80,inf"]
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # a row that did not wait would read a half-made pyramid
+        try:
+            for cpus in (1, 3, 8):
+                _report_cpus(monkeypatch, cpus)
+                assert main(args) == 0
+                outputs.append(capsys.readouterr().out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert len(outputs[0].splitlines()) == 1 + 2 * 11 and "FAILED" not in outputs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_a_failed_analysis_ends_the_call(self, workdir, capsys, monkeypatch, cpus, error):
+        # as when the compressor raised before the rows started: MemoryError
+        # escapes main, and ValueError exits usage
+        from wavemark import cli
+
+        real = cli._analyse
+
+        def analyse(samples, maxval, grids):
+            # channel 1 of the marked samples starts one byte into them
+            if samples.ctypes.data - samples.base.ctypes.data == 1:
+                raise error("analysis of channel 1")
+            return real(samples, maxval, grids)
+
+        monkeypatch.setattr(cli, "_analyse", analyse)
+        _report_cpus(monkeypatch, cpus)
+        ended = []
+
+        def bench():
+            try:
+                ended.append(main(["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"),
+                                   "--seed", "42", "--format", "csv"]))
+            except MemoryError as exc:
+                ended.append(exc)
+
+        runner = threading.Thread(target=bench, daemon=True)  # a hang fails the test
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        out, err = capsys.readouterr()
+        assert out == ""
+        if error is MemoryError:
+            assert len(ended) == 1 and type(ended[0]) is MemoryError
+        else:
+            assert ended == [2] and err == "error: usage: analysis of channel 1\n"
 
 
 class TestOnEveryCpu:

@@ -120,6 +120,15 @@ class TestReadImage:
         with pytest.raises(FormatError):
             read_image(p)
 
+    def test_sample_one_above_a_maxval_of_254_rejected(self, tmp_path):
+        # one below the largest uint8, where the scan for samples above
+        # maxval must still run
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n3 1\n254\n" + bytes([0, 254, 255]))
+        with pytest.raises(FormatError) as info:
+            read_image(p)
+        assert str(info.value) == f"{p}: sample 2 of 3 exceeds maxval 254"
+
     def test_valid_files_stay_in_unit_range(self, tmp_path):
         rng = np.random.default_rng(0)
         p = tmp_path / "r.pgm"

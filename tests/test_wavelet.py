@@ -7,6 +7,9 @@ from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_detai
 from wavemark.wavelet import (
     DetailBands,
     SubbandPyramid,
+    _analyse,
+    _lift,
+    _pyramid_grids,
     _thresholded_inverse,
     dwt2_ll,
     dwt2_ll_inverse,
@@ -217,6 +220,69 @@ class TestProperties:
         x[32:-32, 32:-32] += rng.random((64, 64)) - 0.5
         pyr = dwt2_forward(x, 3)
         assert abs(pyr.ll.mean() - 8.0 * x.mean()) < 1e-9
+
+
+def _float_copy_forward(x: np.ndarray, levels: int) -> list[np.ndarray]:
+    """The level grids of the analysis that copied a float grid's even and
+    odd columns into its row halves, the oracle for dividing samples
+    straight into them."""
+    cur = np.asarray(x, dtype=np.float64)
+    grids = []
+    for _ in range(levels):
+        h, w = cur.shape
+        rows = np.empty((2, h, w // 2))
+        grid = np.empty((2, 2, h // 2, w // 2))
+        rows[0] = cur[:, 0::2]
+        rows[1] = cur[:, 1::2]
+        _lift(rows[0, :, :, None], rows[1, :, :, None], free=grid)
+        grid[0] = rows[:, 0::2]
+        grid[1] = rows[:, 1::2]
+        _lift(grid[0], grid[1], free=rows)
+        cur = grid[0, 0]
+        grids.append(grid)
+    return grids
+
+
+_FITTING = [
+    (shape, levels)
+    for shape in ((8, 16), (64, 32), (48, 80))
+    for levels in (1, 2, 3, 4)
+    if not (shape[0] % (1 << levels) or shape[1] % (1 << levels))
+]
+
+
+class TestIntegerAnalysis:
+    """Dividing samples straight into the first level's halves gives the
+    bytes of dividing them first, then copying the halves."""
+
+    @pytest.mark.parametrize("shape, levels", _FITTING)
+    def test_float_samples_at_maxval_1(self, shape, levels):
+        x = np.random.default_rng(levels).random(shape) * 3 - 1
+        want = [g.tobytes() for g in _float_copy_forward(x, levels)]
+        grids = _pyramid_grids(*shape, levels)
+        pyr = _analyse(x, 1, grids)
+        assert [g.tobytes() for g in grids] == want
+        assert pyr.ll.tobytes() == grids[-1][0, 0].tobytes()
+        public = dwt2_forward(x, levels)
+        assert public.ll.tobytes() == pyr.ll.tobytes()
+        for got, grid in zip(public.details, grids):
+            assert got.hl.tobytes() == grid[0, 1].tobytes()
+            assert got.lh.tobytes() == grid[1, 0].tobytes()
+            assert got.hh.tobytes() == grid[1, 1].tobytes()
+
+    @pytest.mark.parametrize("shape, levels", _FITTING)
+    @pytest.mark.parametrize("dtype, maxval", [
+        (np.uint8, 255), (">u2", 255), (">u2", 1000), (">u2", 65535),
+        (np.int64, 255), (np.int64, 1000), (np.int64, 65535),
+    ])
+    def test_integer_samples(self, shape, levels, dtype, maxval):
+        rng = np.random.default_rng(maxval + levels)
+        samples = rng.integers(0, maxval + 1, (*shape, 3)).astype(dtype)
+        plane = samples[..., 1]  # a strided channel view, as the CLI passes
+        want = [g.tobytes() for g in _float_copy_forward(plane / maxval, levels)]
+        grids = _pyramid_grids(*shape, levels)
+        _analyse(plane, maxval, grids)
+        assert [g.tobytes() for g in grids] == want
 
 
 class TestLLOnly:
