@@ -7,7 +7,6 @@ while keeping the original geometry, since extraction needs the
 full-size raster.
 """
 
-from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .image_io import PlanarImage
 from .watermark import DEFAULT_LEVELS
 from .wavelet import _thresholded_inverse, dwt2_forward
 
-__all__ = ["CropRect", "wavelet_compressor", "wavelet_compress", "crop"]
+__all__ = ["CropRect", "wavelet_compress", "crop"]
 
 
 @dataclass(frozen=True)
@@ -45,22 +44,6 @@ class CropRect:
         return slice(self.y, self.y + self.h), slice(self.x, self.x + self.w)
 
 
-def wavelet_compressor(planes: Iterable[np.ndarray]) -> Callable[[float], Iterator[np.ndarray]]:
-    """Return ``t255 -> `` a generator of the synthesis planes of
-    ``wavelet_compress(img, t255)`` for the channel ``planes`` of ``img``,
-    not yet clipped to [0, 1], for a sweep of thresholds.  Each call
-    checks its threshold, and each plane is a new array."""
-    pyramids = [dwt2_forward(ch, DEFAULT_LEVELS) for ch in planes]
-
-    def compress(t255: float) -> Iterator[np.ndarray]:
-        if not t255 >= 0.0:
-            raise ValueError(f"threshold must be >= 0, got {t255}")
-        t = t255 / 255.0
-        return (_thresholded_inverse(pyramid, t) for pyramid in pyramids)
-
-    return compress
-
-
 def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     """Compress by zeroing detail coefficients below a threshold.
 
@@ -69,9 +52,12 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     channel is thresholded independently over a 3-level decomposition,
     and the result is clipped to [0, 1].
     """
+    if not t255 >= 0.0:  # written so that NaN is rejected too
+        raise ValueError(f"threshold must be >= 0, got {t255}")
     out = np.empty_like(img.data)
-    for ch, plane in enumerate(wavelet_compressor(img.data)(t255)):
-        np.clip(plane, 0.0, 1.0, out=out[ch])
+    for ch, plane in enumerate(img.data):
+        pyramid = dwt2_forward(plane, DEFAULT_LEVELS)
+        np.clip(_thresholded_inverse(pyramid, t255 / 255.0), 0.0, 1.0, out=out[ch])
     return PlanarImage(out)
 
 

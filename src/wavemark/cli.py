@@ -126,7 +126,7 @@ def _read_host(path):
 
 def _check_delta_flag(delta: float) -> None:
     try:
-        _check_delta(delta, DEFAULT_LEVELS)
+        _check_delta(delta)
     except ValueError as exc:
         raise UsageError(f"--delta: {exc}") from None
 
@@ -140,7 +140,7 @@ def _check_seed_flag(seed, hosts: int) -> None:
 def _embed_8bit(host, maxval, wm, seed, delta):
     """The 8-bit samples ``embed`` writes for a host's integer samples,
     shaped like them, the key, the host's sums and the output's sums."""
-    band = _mark_band(*host.shape[:2], DEFAULT_LEVELS, wm.size)
+    band = _mark_band(*host.shape[:2], wm.size)
     # the band is its own mark band, so this is the library embed
     marked, key = embed(_to_image(host[:band], maxval), wm, seed=seed, delta=delta)
     out = _to_8bit(host, maxval)
@@ -157,7 +157,7 @@ def _embed_8bit(host, maxval, wm, seed, delta):
 def _extract_samples(samples, maxval, key):
     """The library ``extract`` of ``samples / maxval``, from the mark's band
     of rows alone."""
-    band = _mark_band(*samples.shape[:2], key.levels, key.offset + key.n)
+    band = _mark_band(*samples.shape[:2], key.n)
     return extract(_to_image(samples[:band], maxval), key)
 
 
@@ -279,7 +279,8 @@ def _on_every_cpu(n: int, task) -> None:
     """Call ``task(i)`` for every i in range(n) on the calling thread and
     one worker thread per extra CPU, each taking the next i when it is free.
     Indices are taken in order, so a task may wait for a lower index that
-    never waits itself: a thread has already taken it.
+    never waits itself: a thread has already taken it.  Once a task raises,
+    no task starts, and the error leaves when the running ones have ended.
 
     The calling thread does its share: each thread allocates from its own
     glibc heap, which keeps its high-water mark, so a worker in its place
@@ -292,8 +293,12 @@ def _on_every_cpu(n: int, task) -> None:
     indices = iter(range(n))  # the GIL makes each next() on it atomic
 
     def drain():
-        for i in indices:
-            task(i)
+        try:
+            for i in indices:
+                task(i)
+        finally:  # after an error, take every index left
+            for _ in indices:
+                pass
 
     try:
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
@@ -326,7 +331,7 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     except (WavemarkError, ValueError, OSError):
         return [failed("embed", "-")]
     height, width = host.shape[:2]
-    band = _mark_band(height, width, key.levels, key.offset + key.n)
+    band = _mark_band(height, width, key.n)
     analyse, compress = _compressor(marked, 255)
 
     def compressed(t):

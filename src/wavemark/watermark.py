@@ -2,8 +2,9 @@
 
 Each watermark bit, XOR-encrypted with a keyed random sequence, is stored
 in the parity of a quantized LL3 coefficient of the host's JPEG-YCbCr
-luma: the quantizer index round(c / delta) of a coefficient c of the
-wrong parity moves one step toward c / delta, so c moves to the nearest
+luma, the bits filling LL3 in raster order from its first coefficient:
+the quantizer index round(c / delta) of a coefficient c of the wrong
+parity moves one step toward c / delta, so c moves to the nearest
 multiple of delta whose index has the bit's parity, by at most delta.
 Extraction repeats the decomposition on the watermarked image alone and
 reads the parities back, so no host image is ever needed.
@@ -33,7 +34,6 @@ from .wavelet import check_dimensions, dwt2_ll, dwt2_ll_inverse
 __all__ = [
     "DEFAULT_DELTA",
     "DEFAULT_LEVELS",
-    "MAX_LEVELS",
     "MIN_DELTA",
     "WatermarkKey",
     "generate_r",
@@ -46,15 +46,12 @@ __all__ = [
 
 DEFAULT_DELTA = 1.0 / 16.0
 DEFAULT_LEVELS = 3
-# A key may ask for any depth up to this; a 16-level transform already
-# needs both image dimensions divisible by 65536.
-MAX_LEVELS = 16
 # Luma lies in [0, 1] and one 1-D CDF 9/7 lowpass pass has absolute gain
-# below 2, so |LL_L| < 4**L.  At MAX_LEVELS this floor keeps every
-# quantizer index c / delta, and its neighbours, within 2**51 + 1, where
-# float64 holds them exactly and round_half_away's added half is exact too.
-# From 2 * 4**L up, every coefficient falls in bin 0, so that bounds delta
-# from above (see _check_delta).
+# below 2, so |LL3| < 4**3.  This floor keeps every quantizer index
+# |c / delta| below 2**25, where float64 holds it, its neighbours and
+# round_half_away's added half exactly.  From 2 * 4**3 = 128 up, every
+# coefficient falls in bin 0, so that bounds delta from above (see
+# _check_delta).
 MIN_DELTA = 2.0**-19
 # LL rows analysed and synthesised below the mark's last row.  Lifting
 # carries the fold at a band's bottom edge up by at most 3 LL rows in the
@@ -71,16 +68,14 @@ _SM64_MIX2 = 0x94D049BB133111EB
 
 @dataclass(frozen=True)
 class WatermarkKey:
-    """Everything extraction needs: the random sequence R, the LL level,
-    the watermark shape, and the quantization step."""
+    """Everything extraction needs: the random sequence R, the watermark
+    shape, and the quantization step."""
 
     r: np.ndarray
     rows: int
     cols: int
-    levels: int = DEFAULT_LEVELS
     delta: float = DEFAULT_DELTA
     seed: int = 0
-    offset: int = 0
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -95,12 +90,7 @@ class WatermarkKey:
             )
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed {self.seed} is not an unsigned 64-bit integer")
-        if not 1 <= self.levels <= MAX_LEVELS or self.offset < 0:
-            raise ValueError(
-                f"levels must lie in [1, {MAX_LEVELS}] and offset must be >= 0, "
-                f"got levels={self.levels} offset={self.offset}"
-            )
-        _check_delta(self.delta, self.levels)
+        _check_delta(self.delta)
         object.__setattr__(self, "r", r.astype(np.uint8))
 
     @property
@@ -137,12 +127,11 @@ def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a ^ b
 
 
-def _check_delta(delta: float, levels: int) -> None:
-    """Raise unless ``MIN_DELTA <= delta < 2 * 4**levels``: at or above the
-    top, every LL_levels coefficient lies in bin 0 and no mark survives."""
-    top = 2 * 4**levels
-    if not MIN_DELTA <= delta < top:
-        raise ValueError(f"delta must lie in [2**-19, {top}) for {levels} levels, got {delta}")
+def _check_delta(delta: float) -> None:
+    """Raise unless ``MIN_DELTA <= delta < 128 = 2 * 4**3``: at or above the
+    top, every LL3 coefficient lies in bin 0 and no mark survives."""
+    if not MIN_DELTA <= delta < 128:
+        raise ValueError(f"delta must lie in [2**-19, 128) for 3 levels, got {delta}")
 
 
 def _embed_parities(c: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarray:
@@ -163,30 +152,28 @@ def _read_parities(c: np.ndarray, delta: float) -> np.ndarray:
     return (q % 2).astype(np.uint8)
 
 
-def _mark_band(height: int, width: int, levels: int, end: int) -> int:
+def _mark_band(height: int, width: int, end: int) -> int:
     """The rows [0, band) of a height x width image whose analysis yields
-    the first ``end`` LL_levels coefficients, in raster order, bit-identical
-    to the whole image's, and whose synthesis holds every sample that
+    the first ``end`` LL3 coefficients, in raster order, bit-identical to
+    the whole image's, and whose synthesis holds every sample that
     changing them moves.  The band of a band is the band itself.
 
-    Raises unless the dimensions fit the transform and the LL grid holds
+    Raises unless the dimensions fit the transform and the LL3 grid holds
     ``end`` coefficients.
     """
-    check_dimensions(height, width, levels)
-    cols = width >> levels
-    capacity = (height >> levels) * cols
+    check_dimensions(height, width, DEFAULT_LEVELS)
+    cols = width >> DEFAULT_LEVELS
+    capacity = (height >> DEFAULT_LEVELS) * cols
     if end > capacity:
-        raise CapacityError(
-            f"the mark needs {end} coefficients but LL{levels} holds only {capacity}"
-        )
-    return min(height, (-(-end // cols) + MARGIN) << levels)
+        raise CapacityError(f"the mark needs {end} coefficients but LL3 holds only {capacity}")
+    return min(height, (-(-end // cols) + MARGIN) << DEFAULT_LEVELS)
 
 
-def _mark_ll(image: PlanarImage, levels: int, end: int) -> np.ndarray:
-    """LL_levels of the luma of the image's rows [0, band), the band of
+def _mark_ll(image: PlanarImage, end: int) -> np.ndarray:
+    """LL3 of the luma of the image's rows [0, band), the band of
     :func:`_mark_band`."""
-    band = _mark_band(image.height, image.width, levels, end)
-    return dwt2_ll(luma(image.data[:, :band]), levels)
+    band = _mark_band(image.height, image.width, end)
+    return dwt2_ll(luma(image.data[:, :band]), DEFAULT_LEVELS)
 
 
 def embed(
@@ -197,9 +184,9 @@ def embed(
     Returns the watermarked image and the key required for extraction.
     The watermark must fit: rows*cols <= (width/8) * (height/8).
     """
-    _check_delta(delta, DEFAULT_LEVELS)
+    _check_delta(delta)
     n = wm.size
-    ll = _mark_ll(host, DEFAULT_LEVELS, n)
+    ll = _mark_ll(host, n)
     r = generate_r(n, seed)
     encrypted = xor_bits(wm.bits.reshape(-1), r)
     c = ll.reshape(-1)[:n]
@@ -210,15 +197,7 @@ def embed(
     band = out[:, : dy.shape[0]]
     band += dy
     np.clip(band, 0.0, 1.0, out=band)
-    key = WatermarkKey(
-        r=r,
-        rows=wm.rows,
-        cols=wm.cols,
-        levels=DEFAULT_LEVELS,
-        delta=delta,
-        seed=seed,
-        offset=0,
-    )
+    key = WatermarkKey(r=r, rows=wm.rows, cols=wm.cols, delta=delta, seed=seed)
     return PlanarImage(out), key
 
 
@@ -228,10 +207,8 @@ def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
     Blind: only the watermarked image and the key are consulted, and of
     the image only the LL subband of its luma.
     """
-    end = key.offset + key.n
-    ll = _mark_ll(watermarked, key.levels, end)
-    c = ll.reshape(-1)[key.offset : end]
-    encrypted = _read_parities(c, key.delta)
+    ll = _mark_ll(watermarked, key.n)
+    encrypted = _read_parities(ll.reshape(-1)[: key.n], key.delta)
     bits = xor_bits(encrypted, key.r)
     return BitMatrix(bits.reshape(key.rows, key.cols))
 
@@ -241,8 +218,7 @@ def save_key(key: WatermarkKey, path) -> None:
     r_hex = np.packbits(key.r).tobytes().hex().upper()
     lines = [
         _KEY_MAGIC,
-        f"levels={key.levels} subband=LL rows={key.rows} "
-        f"cols={key.cols} offset={key.offset}",
+        f"levels=3 subband=LL rows={key.rows} cols={key.cols} offset=0",
         f"delta={key.delta!r}",
         f"seed={key.seed}",
         f"R={r_hex}",
@@ -279,17 +255,16 @@ def load_key(path) -> WatermarkKey:
     seed_field = _parse_fields(lines[3], ("seed",), path)
     r_field = _parse_fields(lines[4], ("R",), path)
 
+    for name, literal in (("levels", "3"), ("subband", "LL"), ("offset", "0")):
+        if fields[name] != literal:
+            raise FormatError(f"{path}: unsupported {name} {fields[name]!r}, expected {literal!r}")
     try:
-        levels = int(fields["levels"])
         rows = int(fields["rows"])
         cols = int(fields["cols"])
-        offset = int(fields["offset"])
         delta = float(delta_field["delta"])
         seed = int(seed_field["seed"])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed numeric field: {exc}") from None
-    if fields["subband"] != "LL":
-        raise FormatError(f"{path}: unsupported subband {fields['subband']!r}")
 
     n = rows * cols
     try:
@@ -306,15 +281,7 @@ def load_key(path) -> WatermarkKey:
         raise FormatError(f"{path}: R padding bits must be zero")
 
     try:
-        return WatermarkKey(
-            r=bits[:n],
-            rows=rows,
-            cols=cols,
-            levels=levels,
-            delta=delta,
-            seed=seed,
-            offset=offset,
-        )
+        return WatermarkKey(r=bits[:n], rows=rows, cols=cols, delta=delta, seed=seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 

@@ -17,7 +17,6 @@ from wavemark import (
     threshold_details,
     wavelet_compress,
 )
-from wavemark.attacks import wavelet_compressor
 from conftest import make_mark
 
 
@@ -62,21 +61,9 @@ class TestWaveletCompress:
         assert bers[0] <= bers[1] <= bers[2]
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            wavelet_compress(synthesize_host("noise", 64), -1.0)
-
-    def test_compressor_matches_wavelet_compress_at_each_threshold(self):
-        img = synthesize_host("gradient", 64)
-        compress = wavelet_compressor(img.data)
-        for t in (0.0, 3.0, 7.0, 80.0, math.inf):
-            assert np.array_equal(np.clip(list(compress(t)), 0, 1), wavelet_compress(img, t).data)
-
-    def test_compressor_rejects_a_bad_threshold_and_keeps_working(self):
-        img = synthesize_host("noise", 64, seed=5)
-        compress = wavelet_compressor(img.data)
-        with pytest.raises(ValueError):
-            compress(math.nan)
-        assert np.array_equal(np.clip(list(compress(5.0)), 0, 1), wavelet_compress(img, 5.0).data)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                wavelet_compress(synthesize_host("noise", 64), t)
 
     def test_dimension_requirement(self):
         from wavemark import DimensionError

@@ -256,6 +256,10 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize("line, text, named", [
         (1, "levels=3 subband=HH rows=15 cols=64 offset=0", "'HH'"),
+        (1, "levels=2 subband=LL rows=15 cols=64 offset=0", "levels '2'"),
+        (1, "levels=16 subband=LL rows=15 cols=64 offset=0", "levels '16'"),
+        (1, "levels=3 subband=LL rows=15 cols=64 offset=1", "offset '1'"),
+        (1, "levels=3 subband=LL rows=15 cols=64 offset=3000", "offset '3000'"),
         (3, "seed=-1", "seed -1"),
         (3, f"seed={2**64}", f"seed {2**64}"),
     ])
@@ -266,12 +270,13 @@ class TestHostileInputs:
         assert err.startswith("error: format:") and named in err
 
     def test_levels_deeper_than_the_image(self, workdir, capsys):
-        # 16 levels need dimensions divisible by 65536; the 256x256 host
+        # the format's 3 levels need sides divisible by 8; a 4-row image
         # is rejected before any band is sized
-        code, rec = self._extract_with(
-            workdir, 1, "levels=16 subband=LL rows=15 cols=64 offset=0")
-        assert code == 4
-        assert capsys.readouterr().err.startswith("error: dimension:")
+        _, _, key = _embed(workdir)
+        tiny, rec = workdir / "tiny.ppm", workdir / "rec.pbm"
+        tiny.write_bytes(b"P6\n8 4\n255\n" + bytes(8 * 4 * 3))
+        assert main(["extract", str(tiny), str(key), str(rec)]) == 4
+        assert capsys.readouterr().err.startswith("error: dimension:") and not rec.exists()
 
     @pytest.mark.parametrize("delta", ["1e-320", "1e-300", "1e-06"])
     def test_tiny_delta_in_key(self, workdir, capsys, delta):
@@ -361,10 +366,11 @@ class TestHostileInputs:
         assert captured.err.startswith("error: usage: --thresholds")
 
     @pytest.mark.parametrize("levels, delta, code", [
-        (3, "128.0", 3), (3, "1e+300", 3), (1, "16.0", 3), (2, "16.0", 0),
+        (3, "128.0", 3), (3, "1e+300", 3), (1, "16.0", 3), (2, "16.0", 3),
     ])
     def test_huge_delta_in_key(self, workdir, capsys, levels, delta, code):
-        # the bound is the key's own: 2 * 4**levels
+        # the bound is 2 * 4**3 = 128; a key of another depth, which once
+        # had its own bound 2 * 4**levels, is outside the format
         _, out, key = _embed(workdir)
         lines = key.read_text().splitlines()
         lines[1] = f"levels={levels} subband=LL rows=15 cols=64 offset=0"
@@ -378,7 +384,8 @@ class TestHostileInputs:
         assert rec.exists() == (code == 0)
         if code:
             err = capsys.readouterr().err
-            assert err.startswith("error: format:") and "delta" in err
+            named = "delta must lie" if levels == 3 else f"levels '{levels}'"
+            assert err.startswith("error: format:") and named in err
 
     def test_delta_at_the_floor(self, workdir):
         with warnings.catch_warnings(record=True) as caught:
@@ -631,6 +638,8 @@ class TestParallelAnalyses:
         from wavemark import cli
 
         real = cli._analyse
+        extracted = []
+        real_extract = cli._extract_samples
 
         def analyse(samples, maxval, grids):
             # channel 1 of the marked samples starts one byte into them
@@ -639,6 +648,8 @@ class TestParallelAnalyses:
             return real(samples, maxval, grids)
 
         monkeypatch.setattr(cli, "_analyse", analyse)
+        monkeypatch.setattr(cli, "_extract_samples",
+                            lambda *args: extracted.append(args) or real_extract(*args))
         _report_cpus(monkeypatch, cpus)
         ended = []
 
@@ -653,6 +664,7 @@ class TestParallelAnalyses:
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
+        assert extracted == []  # no row starts once an analysis has raised
         out, err = capsys.readouterr()
         assert out == ""
         if error is MemoryError:

@@ -20,7 +20,7 @@ from wavemark import read_image, read_watermark, save_key, wavelet_compress, wri
 from wavemark import write_watermark
 from wavemark.cli import _bench_host, _default_rects, main
 from wavemark.image_io import _encode_samples, _to_8bit
-from wavemark.watermark import DEFAULT_DELTA, DEFAULT_LEVELS, _mark_band
+from wavemark.watermark import DEFAULT_DELTA, _mark_band
 from conftest import make_mark
 
 MAXVALS = [1, 7, 100, 255, 256, 1000, 65535]
@@ -80,7 +80,7 @@ def _assert_cli_matches_float_path(tmp, capsys, samples, maxval, magic, mark, se
 @pytest.mark.parametrize("magic", [b"P6", b"P3"])
 def test_cli_matches_float_path(tmp_path, capsys, magic, maxval, height):
     mark = make_mark(2, 8)
-    band = _mark_band(height, 64, DEFAULT_LEVELS, mark.size)
+    band = _mark_band(height, 64, mark.size)
     # 128 rows leave rows below the band; in 32 rows the band is the image
     assert (band < height) == (height == 128)
     rng = np.random.default_rng([maxval, height])
@@ -168,7 +168,7 @@ def _float_path_rows(path, mark, thresholds, rects, seed):
 def test_embed_of_a_constant_host_reads_nan_pearson(tmp_path, capsys, maxval):
     mark = make_mark(2, 8)
     # rows below the band keep the host's constant samples
-    assert _mark_band(128, 64, DEFAULT_LEVELS, mark.size) < 128
+    assert _mark_band(128, 64, mark.size) < 128
     samples = np.full((128, 64, 3), maxval // 3)
     _assert_cli_matches_float_path(tmp_path, capsys, samples, maxval, b"P6", mark, seed=5)
     argv = [str(tmp_path / name) for name in ("host.ppm", "mark.pbm", "out.ppm", "out.key")]
@@ -181,7 +181,7 @@ def test_embed_of_a_constant_host_reads_nan_pearson(tmp_path, capsys, maxval):
 @pytest.mark.parametrize("magic", [b"P6", b"P3"])
 def test_bench_matches_float_path(tmp_path, magic, maxval, height):
     mark = make_mark(2, 8)
-    band = _mark_band(height, 64, DEFAULT_LEVELS, mark.size)
+    band = _mark_band(height, 64, mark.size)
     # 64 rows leave rows below the band; in 32 rows the band is the image
     assert (band < height) == (height == 64)
     host, mark_path = tmp_path / "host.ppm", tmp_path / "mark.pbm"
@@ -270,19 +270,24 @@ class TestFailuresKeepTheirCategory:
         assert code == 4 and err.startswith("error: capacity:") and "960" in err
         assert not (tmp / "o.ppm").exists()
 
-    @pytest.mark.parametrize("fields, category", [
-        ("levels=9 subband=LL rows=15 cols=64 offset=0", "dimension"),
-        ("levels=3 subband=LL rows=15 cols=64 offset=3000", "capacity"),
+    @pytest.mark.parametrize("fields, height, width, category, exit_code", [
+        # the key format has no other depth
+        ("levels=9 subband=LL rows=15 cols=64 offset=0", 256, 256, "format", 3),
+        ("levels=3 subband=LL rows=15 cols=64 offset=0", 100, 96, "dimension", 4),
+        # 1035 bits, and the 256x256 host's LL3 holds 1024
+        ("levels=3 subband=LL rows=15 cols=69 offset=0", 256, 256, "capacity", 4),
     ])
-    def test_extract(self, files, capsys, fields, category):
+    def test_extract(self, files, capsys, fields, height, width, category, exit_code):
         tmp, mark, host = files
-        image = host("h.ppm", 256, 256)
-        code, _ = self._run(capsys, ["embed", image, mark, tmp / "o.ppm", tmp / "o.key",
-                                     "--seed", "1"])
+        code, _ = self._run(capsys, ["embed", host("h.ppm", 256, 256), mark, tmp / "o.ppm",
+                                     tmp / "o.key", "--seed", "1"])
         assert code == 0
         lines = (tmp / "o.key").read_text().splitlines()
         lines[1] = fields
+        rows, cols = (int(field.split("=")[1]) for field in fields.split()[2:4])
+        lines[4] = "R=" + "00" * -(-rows * cols // 8)  # an R of matching length
         (tmp / "o.key").write_text("\n".join(lines) + "\n")
+        image = host("x.ppm", height, width)
         code, err = self._run(capsys, ["extract", image, tmp / "o.key", tmp / "rec.pbm"])
-        assert code == 4 and err.startswith(f"error: {category}:")
+        assert code == exit_code and err.startswith(f"error: {category}:")
         assert not (tmp / "rec.pbm").exists()

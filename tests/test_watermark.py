@@ -23,7 +23,6 @@ from wavemark import (
 )
 from wavemark.colorspace import luma
 from wavemark.watermark import (
-    MAX_LEVELS,
     MIN_DELTA,
     _embed_parities,
     _mark_band,
@@ -197,24 +196,21 @@ class TestBandLimited:
     """Embed and extract analyse and synthesise only the mark's top rows;
     each result must equal the full-frame computation bit for bit."""
 
-    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 6])
-    def test_extract_matches_full_frame(self, levels):
-        unit = 1 << levels
-        rng = np.random.default_rng(levels)
-        # widths that are not powers of two, and a height whose LL grid
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 5, 6])
+    def test_extract_matches_full_frame(self, cols):
+        rng = np.random.default_rng(cols)
+        # LL3 grids 1 to 6 coefficients wide, and heights whose LL3 grid
         # leaves room below the band
-        for hm, wm_ in ((24, 3), (20, 5), (16, 7)):
-            host = PlanarImage(rng.random((3, hm * unit, wm_ * unit)))
-            full = dwt2_ll(luma(host), levels).reshape(-1)
-            cols = wm_
-            for offset, n in ((0, 1), (0, 2 * cols + 1), (cols + 2, 3 * cols), (5, full.size - 5)):
-                end = offset + n
-                got = _mark_ll(host, levels, end).reshape(-1)[:end]
-                assert np.array_equal(got, full[:end]), (levels, hm, wm_, offset, n)
-                key = WatermarkKey(r=generate_r(n, 9), rows=1, cols=n, levels=levels, offset=offset)
-                want = xor_bits(_read_parities(full[offset:end], key.delta), key.r)
+        for hm in (24, 20, 16):
+            host = PlanarImage(rng.random((3, hm * 8, cols * 8)))
+            full = dwt2_ll(luma(host), 3).reshape(-1)
+            for n in (1, 2 * cols + 1, 3 * cols, full.size - 5, full.size):
+                got = _mark_ll(host, n).reshape(-1)[:n]
+                assert np.array_equal(got, full[:n]), (hm, cols, n)
+                key = WatermarkKey(r=generate_r(n, 9), rows=1, cols=n)
+                want = xor_bits(_read_parities(full[:n], key.delta), key.r)
                 assert np.array_equal(extract(host, key).bits.reshape(-1), want)
-            assert _mark_band(host.height, host.width, levels, cols) < host.height
+            assert _mark_band(host.height, host.width, cols) < host.height
 
     @pytest.mark.parametrize(
         "kind, size, shape",
@@ -226,7 +222,7 @@ class TestBandLimited:
         wm = make_mark(*shape)
         out, _ = embed(host, wm, seed=21, delta=1 / 16)
         assert np.array_equal(out.data, _full_frame_embed(host, wm, 21, 1 / 16))
-        band = _mark_band(host.height, host.width, 3, wm.size)
+        band = _mark_band(host.height, host.width, wm.size)
         assert np.array_equal(out.data[:, band:], host.data[:, band:])
         if size >= 128:
             assert band < size
@@ -270,8 +266,7 @@ class TestEmbedExtract:
         host = synthesize_host("noise", 128, seed=5)
         small = make_mark(8, 16)
         _, key = embed(host, small, seed=99, delta=1 / 32)
-        assert (key.rows, key.cols, key.levels) == (8, 16, 3)
-        assert key.offset == 0
+        assert (key.rows, key.cols) == (8, 16)
         assert key.delta == 1 / 32 and key.seed == 99
         assert np.array_equal(key.r, generate_r(small.size, 99))
 
@@ -344,9 +339,7 @@ class TestKeyFile:
         save_key(key, p)
         back = load_key(p)
         assert back.rows == key.rows and back.cols == key.cols
-        assert back.levels == key.levels
         assert back.delta == key.delta and back.seed == key.seed
-        assert back.offset == key.offset
         assert np.array_equal(back.r, key.r)
 
     def test_file_layout(self, tmp_path):
@@ -417,6 +410,10 @@ class TestKeyFile:
 
     @pytest.mark.parametrize("old, new, named", [
         ("subband=LL", "subband=HH", "'HH'"),
+        ("levels=3", "levels=2", "levels '2'"),
+        ("levels=3", "levels=16", "levels '16'"),
+        ("offset=0", "offset=1", "offset '1'"),
+        ("offset=0", "offset=3000", "offset '3000'"),
         ("seed=7", "seed=-1", "seed -1"),
         ("seed=7", f"seed={2**64}", f"seed {2**64}"),
     ])
@@ -447,9 +444,9 @@ class TestKeyFile:
             embed(synthesize_host("noise", 64), make_mark(2, 2), seed=0, delta=delta)
 
     def test_delta_floor_keeps_indices_exact(self):
-        # the largest LL the deepest transform can hold, read at the
+        # the largest LL3 any luma in [0, 1] can give, read at the
         # smallest step: no warning, and an exact integer index
-        top = 4.0**MAX_LEVELS
+        top = 4.0**3
         c = np.array([top, -top, top, -top, top - MIN_DELTA, -top + MIN_DELTA])
         bits = np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8)
         with warnings.catch_warnings():
@@ -458,13 +455,23 @@ class TestKeyFile:
             assert np.array_equal(_read_parities(out, MIN_DELTA), bits)
         assert np.abs(out - c).max() <= MIN_DELTA
 
-    @pytest.mark.parametrize("levels", range(1, MAX_LEVELS + 1))
-    def test_delta_ceiling(self, levels):
-        # |LL_L| < 4**L: from 2 * 4**L up every index would be 0
-        top = 2.0 * 4.0**levels
-        WatermarkKey(r=np.zeros(4), rows=2, cols=2, levels=levels, delta=np.nextafter(top, 0))
+    @pytest.mark.parametrize("levels", range(1, 17))
+    def test_delta_ceiling(self, tmp_path, levels):
+        # |LL3| < 4**3: from 2 * 4**3 = 128 up every index would be 0
+        WatermarkKey(r=np.zeros(4), rows=2, cols=2, delta=np.nextafter(128.0, 0))
         with pytest.raises(ValueError, match="delta"):
-            WatermarkKey(r=np.zeros(4), rows=2, cols=2, levels=levels, delta=top)
+            WatermarkKey(r=np.zeros(4), rows=2, cols=2, delta=128.0)
+        # a key file once had the ceiling 2 * 4**levels of its own depth;
+        # the format now has one depth, so only levels=3 loads
+        below = float(np.nextafter(2.0 * 4.0**levels, 0))
+        p = tmp_path / "key.txt"
+        p.write_text(f"WMKEY1\nlevels={levels} subband=LL rows=2 cols=4 offset=0\n"
+                     f"delta={below!r}\nseed=7\nR=F0\n")
+        if levels == 3:
+            assert load_key(p).delta == below
+        else:
+            with pytest.raises(FormatError, match=f"levels '{levels}'"):
+                load_key(p)
 
     def test_embed_delta_ceiling(self):
         host, wm = synthesize_host("noise", 64), make_mark(2, 2)
@@ -474,10 +481,13 @@ class TestKeyFile:
             warnings.simplefilter("error")
             embed(host, wm, seed=0, delta=np.nextafter(128.0, 0))
 
-    @pytest.mark.parametrize("levels", [0, MAX_LEVELS + 1, 99999999999])
-    def test_levels_bounded(self, levels):
-        with pytest.raises(ValueError, match="levels"):
-            WatermarkKey(r=np.zeros(4), rows=2, cols=2, levels=levels)
+    @pytest.mark.parametrize("levels", [0, 17, 99999999999])
+    def test_levels_bounded(self, tmp_path, levels):
+        p = tmp_path / "key.txt"
+        p.write_text(f"WMKEY1\nlevels={levels} subband=LL rows=2 cols=4 offset=0\n"
+                     "delta=0.0625\nseed=7\nR=F0\n")
+        with pytest.raises(FormatError, match=f"levels '{levels}'"):
+            load_key(p)
 
     @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, 4), (4, 0), (-2, 3)])
     def test_shape_must_be_positive(self, rows, cols):
