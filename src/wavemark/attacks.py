@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import PlanarImage
-from .watermark import DEFAULT_LEVELS
 from .wavelet import _thresholded_inverse, dwt2_forward
 
 __all__ = ["CropRect", "wavelet_compress", "crop"]
@@ -56,7 +55,7 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
         raise ValueError(f"threshold must be >= 0, got {t255}")
     out = np.empty_like(img.data)
     for ch, plane in enumerate(img.data):
-        pyramid = dwt2_forward(plane, DEFAULT_LEVELS)
+        pyramid = dwt2_forward(plane)
         np.clip(_thresholded_inverse(pyramid, t255 / 255.0), 0.0, 1.0, out=out[ch])
     return PlanarImage(out)
 

@@ -52,7 +52,6 @@ from .metrics import _host_sums, _output_sums, _psnr_pearson, ber, nc
 from .synth import KINDS, synthesize_host
 from .watermark import (
     DEFAULT_DELTA,
-    DEFAULT_LEVELS,
     _check_delta,
     _mark_band,
     embed,
@@ -167,8 +166,8 @@ def _compressor(samples, maxval):
     ``write_image(wavelet_compress(img, t))`` writes.  ``compress`` waits for
     each analysis, which may run on another thread, and raises ValueError if it raised."""
     height, width, channels = samples.shape
-    check_dimensions(height, width, DEFAULT_LEVELS)
-    grids = [_pyramid_grids(height, width, DEFAULT_LEVELS) for _ in range(channels)]
+    check_dimensions(height, width)
+    grids = [_pyramid_grids(height, width) for _ in range(channels)]
     pyramids = [None] * channels
     ready = [threading.Event() for _ in range(channels)]
 

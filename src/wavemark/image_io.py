@@ -111,7 +111,7 @@ _TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*([^ \t\r\n\v\f#]*)")
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _NOT_DIGIT_OR_SPACE = re.compile(rb"[^0-9 \t\r\n\v\f]")
 _WHITESPACE = b" \t\r\n\v\f"
-# the largest width or height a file may declare, and a synthesis may make
+# the largest width or height a file may declare
 _MAX_SIDE = 1 << 30
 
 

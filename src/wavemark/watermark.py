@@ -29,11 +29,10 @@ import numpy as np
 from .colorspace import luma
 from .errors import CapacityError, FormatError
 from .image_io import BitMatrix, PlanarImage, round_half_away
-from .wavelet import check_dimensions, dwt2_ll, dwt2_ll_inverse
+from .wavelet import LEVELS, check_dimensions, dwt2_ll, dwt2_ll_inverse
 
 __all__ = [
     "DEFAULT_DELTA",
-    "DEFAULT_LEVELS",
     "MIN_DELTA",
     "WatermarkKey",
     "generate_r",
@@ -45,7 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_DELTA = 1.0 / 16.0
-DEFAULT_LEVELS = 3
 # Luma lies in [0, 1] and one 1-D CDF 9/7 lowpass pass has absolute gain
 # below 2, so |LL3| < 4**3.  This floor keeps every quantizer index
 # |c / delta| below 2**25, where float64 holds it, its neighbours and
@@ -55,8 +53,8 @@ DEFAULT_LEVELS = 3
 MIN_DELTA = 2.0**-19
 # LL rows analysed and synthesised below the mark's last row.  Lifting
 # carries the fold at a band's bottom edge up by at most 3 LL rows in the
-# analysis and 2 in the synthesis (measured bit for bit at L = 1..6); one
-# more row keeps a spare.
+# analysis and 2 in the synthesis (measured bit for bit at the transform's
+# depth, 3); one more row keeps a spare.
 MARGIN = 4
 
 _KEY_MAGIC = "WMKEY1"
@@ -161,19 +159,19 @@ def _mark_band(height: int, width: int, end: int) -> int:
     Raises unless the dimensions fit the transform and the LL3 grid holds
     ``end`` coefficients.
     """
-    check_dimensions(height, width, DEFAULT_LEVELS)
-    cols = width >> DEFAULT_LEVELS
-    capacity = (height >> DEFAULT_LEVELS) * cols
+    check_dimensions(height, width)
+    cols = width >> LEVELS
+    capacity = (height >> LEVELS) * cols
     if end > capacity:
         raise CapacityError(f"the mark needs {end} coefficients but LL3 holds only {capacity}")
-    return min(height, (-(-end // cols) + MARGIN) << DEFAULT_LEVELS)
+    return min(height, (-(-end // cols) + MARGIN) << LEVELS)
 
 
 def _mark_ll(image: PlanarImage, end: int) -> np.ndarray:
     """LL3 of the luma of the image's rows [0, band), the band of
     :func:`_mark_band`."""
     band = _mark_band(image.height, image.width, end)
-    return dwt2_ll(luma(image.data[:, :band]), DEFAULT_LEVELS)
+    return dwt2_ll(luma(image.data[:, :band]))
 
 
 def embed(
@@ -192,7 +190,7 @@ def embed(
     c = ll.reshape(-1)[:n]
     change = np.zeros_like(ll)
     change.reshape(-1)[:n] = _embed_parities(c, encrypted, delta) - c
-    dy = dwt2_ll_inverse(change, DEFAULT_LEVELS)
+    dy = dwt2_ll_inverse(change)
     out = host.data.copy()
     band = out[:, : dy.shape[0]]
     band += dy

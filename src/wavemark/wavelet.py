@@ -1,4 +1,4 @@
-"""Multi-level 2-D discrete wavelet transform, CDF 9/7, lifting scheme.
+"""Three-level 2-D discrete wavelet transform, CDF 9/7, lifting scheme.
 
 The lifting realization guarantees exact invertibility: the inverse
 replays the update/predict steps in reverse order, so forward->inverse
@@ -13,13 +13,13 @@ columns alike, into two contiguous halves and lifts them in place
 (Daubechies & Sweldens, "Factoring wavelet transforms into lifting
 steps", 1998); nothing is transposed.  A level is one [[LL, HL], [LH,
 HH]] grid whose bands the pyramid holds as views.  :func:`dwt2_ll` runs
-the same level step on the lowpass half only, for readers of LL_L, and
-:func:`dwt2_ll_inverse` synthesises an LL_L grid whose detail bands are
-all zero, for writers of LL_L.
+the same level step on the lowpass half only, for readers of LL3, and
+:func:`dwt2_ll_inverse` synthesises an LL3 grid whose detail bands are
+all zero, for writers of LL3.
 
 Normalization puts gain K on the lowpass and 1/K on the highpass, so one
-1-D pass has DC gain sqrt(2) and an L-level 2-D pyramid satisfies
-mean(LL_L) = 2^L * mean(input).
+1-D pass has DC gain sqrt(2) and the 3-level 2-D pyramid satisfies
+mean(LL3) = 8 * mean(input).
 """
 
 import math
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .image_io import _MAX_SIDE
 
 __all__ = [
+    "LEVELS",
     "SubbandPyramid",
     "DetailBands",
     "check_dimensions",
@@ -41,6 +41,8 @@ __all__ = [
     "threshold_details",
     "ll_synthesis_atom",
 ]
+
+LEVELS = 3  # the depth of the transform, whose LL3 band holds the mark
 
 # CDF 9/7 lifting constants.  ALPHA/BETA/DELTA are the canonical values;
 # GAMMA and SCALE are derived from ALPHA and BETA so that the DC
@@ -82,15 +84,11 @@ class SubbandPyramid:
     ll: np.ndarray
     details: tuple[DetailBands, ...]
 
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
     def validate(self) -> None:
         """Raise unless LL is 2-D and every detail grid fits the size it gives."""
         if self.ll.ndim != 2:
             raise DimensionError(f"LL grid has shape {self.ll.shape}, expected 2-D")
-        h, w = (n << self.levels for n in self.ll.shape)
+        h, w = (n << len(self.details) for n in self.ll.shape)
         for lvl, bands in enumerate(self.details, start=1):
             want = (h >> lvl, w >> lvl)
             for name, grid in (("lh", bands.lh), ("hl", bands.hl), ("hh", bands.hh)):
@@ -189,44 +187,39 @@ def _inverse_level(
     return out
 
 
-def check_dimensions(height: int, width: int, levels: int) -> None:
-    """Raise unless an L-level transform fits a height x width grid: both
-    dimensions divisible by 2**levels."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    # 2**levels above both dimensions divides neither: bound it before the shift
-    if levels > max(height, width).bit_length():
-        raise DimensionError(f"{levels} levels do not fit grid dimensions {width}x{height}")
-    mult = 1 << levels
+def check_dimensions(height: int, width: int) -> None:
+    """Raise unless the transform fits a height x width grid: both
+    dimensions divisible by 2**LEVELS."""
+    mult = 1 << LEVELS
     if height % mult or width % mult:
         raise DimensionError(
             f"grid dimensions {width}x{height} must be divisible by {mult} "
-            f"for {levels} levels"
+            f"for {LEVELS} levels"
         )
 
 
-def _check_grid(channel, levels: int) -> np.ndarray:
+def _check_grid(channel) -> np.ndarray:
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got shape {channel.shape}")
-    check_dimensions(*channel.shape, levels)
+    check_dimensions(*channel.shape)
     return channel
 
 
-def dwt2_forward(channel: np.ndarray, levels: int) -> SubbandPyramid:
-    """Decompose a 2-D grid into an L-level subband pyramid.
+def dwt2_forward(channel: np.ndarray) -> SubbandPyramid:
+    """Decompose a 2-D grid into a 3-level subband pyramid.
 
     Each level applies the 1-D lifting to rows then columns and recurses
-    on the LL quadrant.  Both dimensions must be divisible by 2**levels.
-    The detail bands are views into one grid per level.
+    on the LL quadrant.  Both dimensions must be divisible by 8.  The
+    detail bands are views into one grid per level.
     """
-    channel = _check_grid(channel, levels)
-    return _analyse(channel, 1, _pyramid_grids(*channel.shape, levels))
+    channel = _check_grid(channel)
+    return _analyse(channel, 1, _pyramid_grids(*channel.shape))
 
 
-def _pyramid_grids(height: int, width: int, levels: int) -> list[np.ndarray]:
+def _pyramid_grids(height: int, width: int) -> list[np.ndarray]:
     """Uninitialised grids for :func:`_analyse` to fill, finest level first."""
-    return [np.empty((2, 2, height >> lvl, width >> lvl)) for lvl in range(1, levels + 1)]
+    return [np.empty((2, 2, height >> lvl, width >> lvl)) for lvl in range(1, LEVELS + 1)]
 
 
 def _analyse(samples: np.ndarray, maxval: int, grids: list[np.ndarray]) -> SubbandPyramid:
@@ -238,55 +231,47 @@ def _analyse(samples: np.ndarray, maxval: int, grids: list[np.ndarray]) -> Subba
     return SubbandPyramid(ll=samples, details=details)
 
 
-def dwt2_ll(channel: np.ndarray, levels: int) -> np.ndarray:
-    """The LL_L grid of :func:`dwt2_forward`, without the detail bands.
+def dwt2_ll(channel: np.ndarray) -> np.ndarray:
+    """The LL3 grid of :func:`dwt2_forward`, without the detail bands.
 
-    Bit-identical to ``dwt2_forward(channel, levels).ll``: each level runs
-    the same row pass and the column pass on the lowpass half alone.
+    Bit-identical to ``dwt2_forward(channel).ll``: each level runs the
+    same row pass and the column pass on the lowpass half alone.
     """
-    cur = _check_grid(channel, levels)
-    for _ in range(levels):
+    cur = _check_grid(channel)
+    for _ in range(LEVELS):
         cur = _forward_level(cur, np.empty((2, 1, cur.shape[0] // 2, cur.shape[1] // 2)))[0, 0]
     return cur
 
 
 def dwt2_inverse(pyr: SubbandPyramid) -> np.ndarray:
     """Reconstruct the full-resolution grid from a subband pyramid."""
+    pyr.validate()
     return _thresholded_inverse(pyr, 0.0)
 
 
 def _thresholded_inverse(pyr: SubbandPyramid, t: float) -> np.ndarray:
-    """``dwt2_inverse(threshold_details(pyr, t))`` bit for bit, thresholding
-    each level inside its synthesis instead of in a copy of the pyramid."""
-    pyr.validate()
+    """``dwt2_inverse(threshold_details(pyr, t))`` of a valid ``pyr`` bit for
+    bit, thresholding each level inside its synthesis, not in a copy."""
     cur = np.asarray(pyr.ll, dtype=np.float64)
     for bands in reversed(pyr.details):
         cur = _inverse_level(cur, bands, t)
     return cur
 
 
-def dwt2_ll_inverse(ll: np.ndarray, levels: int) -> np.ndarray:
-    """:func:`dwt2_inverse` of an L-level pyramid whose only nonzero band
+def dwt2_ll_inverse(ll: np.ndarray) -> np.ndarray:
+    """:func:`dwt2_inverse` of a 3-level pyramid whose only nonzero band
     is ``ll``, bit for bit, without building the zero detail bands.
 
     Lifting is local, so the top rows of the result depend only on the top
     rows of ``ll``: a caller may pass a band of LL rows and keep the rows
     of the result that lie far enough from the band's bottom edge.  ``ll``
-    must be 2-D, and its synthesis no wider or taller than a Netpbm header
-    may declare.
+    must be 2-D.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
     shape = np.shape(ll)
     if len(shape) != 2:
         raise DimensionError(f"LL grid has shape {shape}, expected 2-D")
-    if max(shape) > _MAX_SIDE >> levels:  # no shift up: levels may be huge
-        raise DimensionError(
-            f"{levels} levels of synthesis from a {shape[1]}x{shape[0]} LL grid "
-            f"pass the side limit {_MAX_SIDE}"
-        )
     cur = np.asarray(ll, dtype=np.float64)
-    for _ in range(levels):
+    for _ in range(LEVELS):
         cur = _inverse_level(cur, None)
     return cur
 
@@ -306,19 +291,17 @@ def threshold_details(pyr: SubbandPyramid, t: float) -> SubbandPyramid:
     return SubbandPyramid(ll=pyr.ll.copy(), details=new_details)
 
 
-def ll_synthesis_atom(
-    base_height: int, base_width: int, levels: int, row: int, col: int
-) -> np.ndarray:
+def ll_synthesis_atom(base_height: int, base_width: int, row: int, col: int) -> np.ndarray:
     """Synthesize a unit impulse at one LL coefficient (the impulse oracle).
 
     Returns the full-resolution response grid.  Its support is the
     coefficient's synthesis footprint (boundary folding included) and its
     squared sum is the atom energy.
     """
-    check_dimensions(base_height, base_width, levels)
-    h, w = base_height >> levels, base_width >> levels
+    check_dimensions(base_height, base_width)
+    h, w = base_height >> LEVELS, base_width >> LEVELS
     if not (0 <= row < h and 0 <= col < w):
         raise ValueError(f"LL index ({row}, {col}) outside {h}x{w} grid")
     ll = np.zeros((h, w))
     ll[row, col] = 1.0
-    return dwt2_ll_inverse(ll, levels)
+    return dwt2_ll_inverse(ll)

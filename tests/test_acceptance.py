@@ -71,7 +71,7 @@ def test_c1_perfect_reconstruction():
     worst = 0.0
     for i in range(50):
         x = rng.random(shapes[i % 3])
-        pyr = dwt2_forward(x, 3)
+        pyr = dwt2_forward(x)
         worst = max(worst, float(np.abs(dwt2_inverse(pyr) - x).max()))
     elapsed = time.monotonic() - start
     _report(

@@ -31,7 +31,7 @@ class TestWaveletCompress:
         out = wavelet_compress(img, math.inf)
         # oracle: reconstruction from the LL-only pyramid per channel
         for ch in range(3):
-            pyr = dwt2_forward(img.data[ch], 3)
+            pyr = dwt2_forward(img.data[ch])
             expect = np.clip(dwt2_inverse(threshold_details(pyr, math.inf)), 0.0, 1.0)
             assert np.abs(out.data[ch] - expect).max() < 1e-12
 
@@ -42,7 +42,7 @@ class TestWaveletCompress:
             attacked = wavelet_compress(img, t)
             total = 0.0
             for ch in range(3):
-                pyr = dwt2_forward(attacked.data[ch], 3)
+                pyr = dwt2_forward(attacked.data[ch])
                 total += sum(
                     float((g**2).sum()) for b in pyr.details for g in b.grids()
                 )

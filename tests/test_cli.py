@@ -110,12 +110,16 @@ class TestEmbedExtract:
         rng = np.random.default_rng(0)
         from wavemark import PlanarImage
 
-        write_image(PlanarImage(rng.random((3, 100, 100))), host)
         wm = tmp_path / "wm.pbm"
         write_watermark(make_mark(), wm)
-        code = main(["embed", str(host), str(wm), str(tmp_path / "o.ppm"), str(tmp_path / "k.txt")])
-        assert code == 4
-        assert capsys.readouterr().err.startswith("error: dimension:")
+        # sides of 2 and 4 are smaller than one LL3 coefficient's 8x8 block
+        for size in (100, 2, 4):
+            write_image(PlanarImage(rng.random((3, size, size))), host)
+            code = main(["embed", str(host), str(wm), str(tmp_path / "o.ppm"), str(tmp_path / "k.txt")])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: dimension:")
+            assert f"{size}x{size} must be divisible by 8" in err
 
     def test_oversized_watermark_capacity_error(self, tmp_path, capsys):
         host = tmp_path / "host.ppm"
@@ -251,7 +255,8 @@ class TestHostileInputs:
             workdir, 1, f"levels={levels} subband=LL rows=15 cols=64 offset=0")
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: format:") and "levels" in err
+        # the message, not the key's path, which holds the test's name
+        assert err.startswith("error: format:") and f"levels '{levels}'" in err
         assert not rec.exists()
 
     @pytest.mark.parametrize("line, text, named", [
@@ -283,7 +288,8 @@ class TestHostileInputs:
         code, rec = self._extract_with(workdir, 2, f"delta={delta}")
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: format:") and "delta" in err
+        # the message, not the key's path, which holds the test's name
+        assert err.startswith("error: format:") and "delta must lie in" in err
         assert not rec.exists()
 
     @pytest.mark.parametrize("delta", ["1e-300", "1e-320"])

@@ -6,6 +6,10 @@ says so in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +61,7 @@ def test_embed_report_is_identical(inputs, capsys):
 
 
 def test_wavelet_coefficients_are_bit_identical():
-    pyr = dwt2_forward(np.random.default_rng(2024).random((64, 96)), 3)
+    pyr = dwt2_forward(np.random.default_rng(2024).random((64, 96)))
     digest = hashlib.sha256(pyr.ll.tobytes())
     for bands in pyr.details:
         for grid in bands.grids():
@@ -65,3 +69,25 @@ def test_wavelet_coefficients_are_bit_identical():
     assert digest.hexdigest() == _PYRAMID_SHA256
     inverse = dwt2_inverse(threshold_details(pyr, 0.05))
     assert _sha256(inverse.tobytes()) == _INVERSE_SHA256
+
+
+def test_golden_bits_do_not_depend_on_simd_dispatch():
+    # numpy picks a SIMD kernel per CPU when it loads; rerun this file with
+    # every dispatch target this CPU has switched off, so the baseline kernels run
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=Path(__file__).parents[1], env=env,
+                              capture_output=True, text=True)
+
+    still_on = run("-c", "from numpy._core import _multiarray_umath as m; "
+                         "print(*[t for t in m.__cpu_dispatch__ if m.__cpu_features__[t]])")
+    assert still_on.returncode == 0 and still_on.stdout.split() == [], still_on.stderr
+    name = test_golden_bits_do_not_depend_on_simd_dispatch.__name__
+    golden = run("-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", f"not {name}")
+    assert golden.returncode == 0, golden.stdout + golden.stderr

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from wavemark import BitMatrix, CropRect, ber, crop, embed, extract, nc, pearson, psnr, quantize
 from wavemark import read_image, read_watermark, save_key, wavelet_compress, write_image
-from wavemark import write_watermark
+from wavemark import DimensionError, SubbandPyramid, dwt2_forward, dwt2_inverse, write_watermark
 from wavemark.cli import _bench_host, _default_rects, main
 from wavemark.image_io import _encode_samples, _to_8bit
 from wavemark.watermark import DEFAULT_DELTA, _mark_band
@@ -210,6 +210,26 @@ def test_bench_matches_float_path(tmp_path, magic, maxval, height):
         if rects is not None and rects[0] == CropRect(0, 0, 64, height):
             assert got[-len(rects)][4] == "nan"
     assert got[-1][3:] == ("FAILED",) * 4
+
+
+def test_synthesis_validates_no_pyramid_it_built(tmp_path, monkeypatch):
+    # compress rows synthesise their own analyses; only the public
+    # dwt2_inverse checks the pyramid it is given
+    host, mark_path = tmp_path / "host.ppm", tmp_path / "mark.pbm"
+    _write_host(host, _host_samples(np.random.default_rng(4), 64, 64, 255), 255, b"P6")
+    write_watermark(make_mark(2, 8), mark_path)
+
+    def refuse(pyr):
+        raise AssertionError("a pyramid built here was validated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SubbandPyramid, "validate", refuse)
+        wavelet_compress(read_image(host), 3.0)
+        rows = _bench_host(str(host), read_watermark(mark_path), [3.0], [], 1, DEFAULT_DELTA)
+        assert rows[1][1:3] == ("compress", "3") and "FAILED" not in rows[1]
+    details = dwt2_forward(np.zeros((64, 32))).details
+    with pytest.raises(DimensionError):
+        dwt2_inverse(SubbandPyramid(ll=np.zeros((8, 8)), details=details))
 
 
 @pytest.mark.parametrize("value", [0, 128, 255])

@@ -179,7 +179,7 @@ class TestQuantizer:
 def _full_frame_embed(host, wm, seed, delta):
     """The reference embed: the full-frame LL3 change synthesised through
     a whole zero-detail pyramid and added to every channel."""
-    ll = dwt2_ll(luma(host), 3)
+    ll = dwt2_ll(luma(host))
     n = wm.size
     c = ll.reshape(-1)[:n]
     change = np.zeros_like(ll)
@@ -203,7 +203,7 @@ class TestBandLimited:
         # leaves room below the band
         for hm in (24, 20, 16):
             host = PlanarImage(rng.random((3, hm * 8, cols * 8)))
-            full = dwt2_ll(luma(host), 3).reshape(-1)
+            full = dwt2_ll(luma(host)).reshape(-1)
             for n in (1, 2 * cols + 1, 3 * cols, full.size - 5, full.size):
                 got = _mark_ll(host, n).reshape(-1)[:n]
                 assert np.array_equal(got, full[:n]), (hm, cols, n)
@@ -309,17 +309,17 @@ class TestEmbedExtract:
         host = synthesize_host("checker", 256)
         delta = 1 / 16
         w, key = embed(host, mark, seed=3, delta=delta)
-        atom = np.abs(ll_synthesis_atom(256, 256, 3, 16, 16))
+        atom = np.abs(ll_synthesis_atom(256, 256, 16, 16))
         stack = np.zeros((256, 256))
         for i in range(13, 20):  # all atoms overlapping the probe pixel
             for j in range(13, 20):
-                stack += np.abs(ll_synthesis_atom(256, 256, 3, i, j))
+                stack += np.abs(ll_synthesis_atom(256, 256, i, j))
         bound = 1.5 * delta * stack.max()
         diff = np.abs(w.data - host.data).max()
         assert diff <= bound
         # PSNR lower bound from n, delta, and measured atom energies
         energies = [
-            (ll_synthesis_atom(256, 256, 3, i, j) ** 2).sum()
+            (ll_synthesis_atom(256, 256, i, j) ** 2).sum()
             for i, j in [(0, 0), (0, 16), (16, 16)]
         ]
         e_max = max(energies)
