@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import PlanarImage
-from .wavelet import _thresholded_inverse, dwt2_forward
+from .wavelet import _check_threshold, _thresholded_inverse, dwt2_forward
 
 __all__ = ["CropRect", "wavelet_compress", "crop"]
 
@@ -51,8 +51,7 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     channel is thresholded independently over a 3-level decomposition,
     and the result is clipped to [0, 1].
     """
-    if not t255 >= 0.0:  # written so that NaN is rejected too
-        raise ValueError(f"threshold must be >= 0, got {t255}")
+    _check_threshold(t255)
     out = np.empty_like(img.data)
     for ch, plane in enumerate(img.data):
         pyramid = dwt2_forward(plane)
@@ -60,11 +59,16 @@ def wavelet_compress(img: PlanarImage, t255: float) -> PlanarImage:
     return PlanarImage(out)
 
 
+def _check_fill(fill: float) -> None:
+    """Raise unless ``fill`` is a sample value in [0, 1], NaN excluded."""
+    if not 0.0 <= fill <= 1.0:
+        raise ValueError(f"fill must lie in [0, 1], got {fill}")
+
+
 def crop(img: PlanarImage, rect: CropRect, fill: float = 0.0) -> PlanarImage:
     """Replace the samples inside ``rect`` with ``fill`` in every channel."""
     rows, cols = rect.window(img.width, img.height)
-    if not 0.0 <= fill <= 1.0:
-        raise ValueError(f"fill must lie in [0, 1], got {fill}")
+    _check_fill(fill)
     data = img.data.copy()
     data[:, rows, cols] = fill
     return PlanarImage(data)

@@ -20,8 +20,10 @@ three channel analyses, then its rows, are computed on the CPUs the
 process may use, with the same bytes and order as on one.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
-<detail>`` on stderr.  Exit codes: 0 success, 2 usage, 3 data/format,
-4 capacity/dimension.
+<detail>`` on stderr, argparse's rejections too: ``main`` returns 2 for
+them, not ``SystemExit``.  argparse checks each flag whose rule the
+library owns with the library's check.  Exit codes: 0 success, 2 usage,
+3 data/format, 4 capacity/dimension.
 """
 
 import argparse
@@ -35,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import CropRect
-from .errors import CapacityError, DimensionError, FormatError, WavemarkError
+from .attacks import CropRect, _check_fill
+from .errors import CapacityError, DimensionError, FormatError, UsageError, WavemarkError
 from .image_io import (
     _encode_samples,
     _file_samples,
@@ -59,15 +61,11 @@ from .watermark import (
     load_key,
     save_key,
 )
-from .wavelet import _analyse, _pyramid_grids, _thresholded_inverse, check_dimensions
+from .wavelet import _analyse, _check_threshold, _pyramid_grids, _thresholded_inverse, check_dimensions
 
 __all__ = ["main"]
 
 _FAILED = "FAILED"
-
-
-class UsageError(WavemarkError):
-    """Bad command-line input (both attacks selected, malformed rect, ...)."""
 
 
 class BenchRow(NamedTuple):
@@ -89,29 +87,34 @@ class BenchRow(NamedTuple):
 _CSV_HEADER = BenchRow._fields
 
 
-def _parse_rect(flag: str, text: str) -> CropRect:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"{flag}: crop rectangle must be x,y,w,h, got {text!r}")
+def _parse_rect(text: str) -> CropRect:
     try:
-        x, y, w, h = (int(p) for p in parts)
+        x, y, w, h = (int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"{flag}: crop rectangle must be four integers, got {text!r}") from None
-    try:
-        return CropRect(x=x, y=y, w=w, h=h)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        raise ValueError(f"crop rectangle must be four integers x,y,w,h, got {text!r}") from None
+    return CropRect(x=x, y=y, w=w, h=h)
 
 
-def _parse_thresholds(text: str) -> list[float]:
-    try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        values = []
-    # written so that NaN, which fails every comparison, is rejected too
-    if not values or not all(v >= 0 for v in values):
-        raise UsageError(f"--thresholds: expected comma-separated numbers >= 0, got {text!r}")
-    return values
+def _flag(parse, check=lambda value: None):
+    """An argparse ``type=``: ``parse``, then ``check``; a ValueError becomes a flag error."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
+
+
+def _items(convert, sep: str):
+    """An argparse ``type=`` of one or more nonempty ``sep``-separated ``convert`` items."""
+    def convert_all(text: str) -> list:
+        items = [convert(part) for part in text.split(sep) if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"must name at least one item, got {text!r}")
+        return items
+    return convert_all
 
 
 def _read_host(path):
@@ -121,13 +124,6 @@ def _read_host(path):
     if samples.shape[2] != 3:
         raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
     return samples, maxval
-
-
-def _check_delta_flag(delta: float) -> None:
-    try:
-        _check_delta(delta)
-    except ValueError as exc:
-        raise UsageError(f"--delta: {exc}") from None
 
 
 def _check_seed_flag(seed, hosts: int) -> None:
@@ -192,7 +188,6 @@ def _compressor(samples, maxval):
 
 
 def cmd_embed(args) -> int:
-    _check_delta_flag(args.delta)
     _check_seed_flag(args.seed, 1)
     host, maxval = _read_host(args.host)
     wm = read_watermark(args.watermark)
@@ -213,23 +208,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    if (args.compress_t is None) == (args.crop is None):
-        raise UsageError("exactly one of --compress-t or --crop is required")
-    # written so that NaN, which fails every comparison, is rejected too
-    if args.compress_t is not None and not args.compress_t >= 0:
-        raise UsageError(f"--compress-t: expected a number >= 0, got {args.compress_t}")
-    if not 0 <= args.fill <= 1:
-        raise UsageError(f"--fill: expected a number in [0, 1], got {args.fill}")
-    rect = None if args.crop is None else _parse_rect("--crop", args.crop)
     samples, maxval = _read_samples(args.image)
-    if rect is None:
+    if args.crop is None:
         analyse, compress = _compressor(samples, maxval)
         for c in range(samples.shape[2]):
             analyse(c)
         out = compress(args.compress_t)
     else:  # the bytes write_image(crop(img, rect, fill)) writes
         out = _to_8bit(samples, maxval)
-        rows, cols = rect.window(samples.shape[1], samples.shape[0])
+        rows, cols = args.crop.window(samples.shape[1], samples.shape[0])
         out[rows, cols] = _encode_samples(np.array([args.fill]), 255)
     _write_samples(args.out, out, 255)
     return 0
@@ -244,20 +231,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    thresholds = _parse_thresholds(args.thresholds)
-    rects = None
-    if args.crops is not None:
-        rects = [_parse_rect("--crops", part) for part in args.crops.split(";") if part]
-        if not rects:
-            raise UsageError("--crops must name at least one rectangle")
-    _check_delta_flag(args.delta)
     _check_seed_flag(args.seed, len(args.hosts))
     wm = read_watermark(args.watermark)
     rows: list[BenchRow] = []
     for index, path in enumerate(args.hosts):
         # host i embeds with seed + i, so a pinned seed gives byte-identical runs
         seed = args.seed + index if args.seed is not None else secrets.randbits(64)
-        rows.extend(_bench_host(path, wm, thresholds, rects, seed, args.delta))
+        rows.extend(_bench_host(path, wm, args.thresholds, args.crops, seed, args.delta))
     sys.stdout.write((format_csv if args.format == "csv" else format_text)(rows))
     return 0
 
@@ -393,8 +373,15 @@ def format_text(rows) -> str:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError for ``main`` to print as one line; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message.removeprefix("argument "))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wavemark",
         description="Blind LL3-subband image watermarking toolkit",
     )
@@ -406,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_image", help="output watermarked image (PPM)")
     p.add_argument("out_key", help="output key file")
     p.add_argument("--seed", type=int, default=None, help="64-bit key seed (default: random)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="quantization step (default 1/16, in [2**-19, 128))")
+    p.add_argument("--delta", type=_flag(float, _check_delta), default=DEFAULT_DELTA, help="quantization step (default 1/16, in [2**-19, 128))")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover a watermark using its key")
@@ -418,26 +405,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="apply one attack to an image")
     p.add_argument("image", help="input image")
     p.add_argument("out", help="output attacked image")
-    p.add_argument("--compress-t", type=float, default=None, metavar="T",
-                   help="wavelet-compression threshold on the 0-255 scale")
-    p.add_argument("--crop", default=None, metavar="X,Y,W,H",
-                   help="blank the given rectangle")
-    p.add_argument("--fill", type=float, default=0.0,
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--compress-t", type=_flag(float, _check_threshold), metavar="T",
+                     help="wavelet-compression threshold on the 0-255 scale")
+    one.add_argument("--crop", type=_flag(_parse_rect), metavar="X,Y,W,H",
+                     help="blank the given rectangle")
+    p.add_argument("--fill", type=_flag(float, _check_fill), default=0.0,
                    help="fill value for --crop (default 0 = black)")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bench", help="robustness benchmark over hosts")
     p.add_argument("hosts", nargs="+", help="host images")
     p.add_argument("watermark", help="watermark (PBM or PGM)")
-    p.add_argument("--thresholds", default="3,5,7",
+    p.add_argument("--thresholds", type=_items(_flag(float, _check_threshold), ","),
+                   default="3,5,7",
                    help="comma-separated compression thresholds (default 3,5,7)")
-    p.add_argument("--crops", default=None, metavar="X,Y,W,H;...",
+    p.add_argument("--crops", type=_items(_flag(_parse_rect), ";"), metavar="X,Y,W,H;...",
                    help="semicolon-separated crop rectangles "
                         "(default: top-left and centered quarters)")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--seed", type=int, default=None,
                    help="pin seeds for reproducible output (host i uses seed+i)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--delta", type=_flag(float, _check_delta), default=DEFAULT_DELTA)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="write a deterministic synthetic host")
@@ -451,10 +440,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: an argument a library check rejected
         return _fail("usage", exc, 2)
     except FormatError as exc:
         return _fail("format", exc, 3)
@@ -464,8 +453,6 @@ def main(argv=None) -> int:
         return _fail("capacity", exc, 4)
     except DimensionError as exc:
         return _fail("dimension", exc, 4)
-    except ValueError as exc:
-        return _fail("usage", exc, 2)
 
 
 def _fail(category: str, exc: Exception, code: int) -> int:

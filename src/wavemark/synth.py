@@ -6,8 +6,8 @@ whole benchmark runs without external assets.
 
 import numpy as np
 
-from .errors import DimensionError
 from .image_io import PlanarImage
+from .wavelet import check_dimensions
 
 __all__ = ["KINDS", "synthesize_host"]
 
@@ -23,8 +23,7 @@ def synthesize_host(kind: str, size: int = 512, seed: int = 0) -> PlanarImage:
     checker:  32x32 blocks alternating 0.25/0.75, equal in all channels.
     noise:    uniform [0, 1) samples from a seeded PCG64 stream.
     """
-    if size <= 0 or size % 8:
-        raise DimensionError(f"host size must be a positive multiple of 8, got {size}")
+    check_dimensions(size, size)
     if kind == "gradient":
         x = np.arange(size) / (size - 1)
         y = np.arange(size) / (size - 1)

@@ -189,12 +189,12 @@ def _inverse_level(
 
 def check_dimensions(height: int, width: int) -> None:
     """Raise unless the transform fits a height x width grid: both
-    dimensions divisible by 2**LEVELS."""
+    dimensions positive and divisible by 2**LEVELS."""
     mult = 1 << LEVELS
-    if height % mult or width % mult:
+    if height < 1 or width < 1 or height % mult or width % mult:
         raise DimensionError(
             f"grid dimensions {width}x{height} must be divisible by {mult} "
-            f"for {LEVELS} levels"
+            f"for {LEVELS} levels, and positive"
         )
 
 
@@ -276,10 +276,15 @@ def dwt2_ll_inverse(ll: np.ndarray) -> np.ndarray:
     return cur
 
 
-def threshold_details(pyr: SubbandPyramid, t: float) -> SubbandPyramid:
-    """Hard-threshold the detail subbands: |c| < t becomes 0, LL untouched."""
+def _check_threshold(t: float) -> None:
+    """Raise unless ``t >= 0``, written so that NaN is rejected too."""
     if not t >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {t}")
+
+
+def threshold_details(pyr: SubbandPyramid, t: float) -> SubbandPyramid:
+    """Hard-threshold the detail subbands: |c| < t becomes 0, LL untouched."""
+    _check_threshold(t)
     new_details = tuple(
         DetailBands(
             lh=np.where(np.abs(b.lh) < t, 0.0, b.lh),

@@ -68,9 +68,9 @@ class TestWaveletCompress:
     def test_dimension_requirement(self):
         from wavemark import DimensionError
 
-        img = PlanarImage(np.zeros((1, 20, 20)))
-        with pytest.raises(DimensionError):
-            wavelet_compress(img, 1.0)
+        for shape in ((1, 20, 20), (3, 0, 8)):
+            with pytest.raises(DimensionError):
+                wavelet_compress(PlanarImage(np.zeros(shape)), 1.0)
 
 
 class TestCrop:

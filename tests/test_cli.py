@@ -1,6 +1,7 @@
 import os
 import re
 import shlex
+import subprocess
 import sys
 import threading
 import warnings
@@ -400,6 +401,58 @@ class TestHostileInputs:
             assert code == 0
             assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 0
         assert not caught, [str(w.message) for w in caught]
+
+
+class TestUsagePath:
+    """Every command line the parser rejects, argparse's own rejections
+    included, leaves as one ``error: usage:`` line naming the flag."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["embed", "{host}", "{wm}", "{out}"], "out_key"),
+        (["stamp", "{host}", "{out}"], "'stamp'"),
+        (["bench", "{host}", "{wm}", "--format", "xml"], "--format"),
+        (["embed", "{host}", "{wm}", "{out}", "{key}", "--delta", "abc"], "--delta"),
+        (["embed", "{host}", "{wm}", "{out}", "{key}", "--delta", "128"], "--delta"),
+        (["bench", "{host}", "{wm}", "--thresholds", "3,nan"], "--thresholds"),
+        (["bench", "{host}", "{wm}", "--thresholds", ","], "--thresholds"),
+        (["bench", "{host}", "{wm}", "--crops", ";"], "--crops"),
+        (["attack", "{host}", "{out}", "--crop", "1,2,3"], "--crop"),
+        (["attack", "{host}", "{out}", "--crop", "0,0,8,8", "--fill", "2"], "--fill"),
+        (["attack", "{host}", "{out}"], "--compress-t"),
+        (["attack", "{host}", "{out}", "--compress-t", "3", "--crop", "0,0,8,8"], "--crop"),
+    ])
+    def test_one_error_line(self, workdir, capsys, argv, named):
+        names = {"host": "host.ppm", "wm": "wm.pbm", "out": "out.ppm", "key": "key.txt"}
+        paths = {name: str(workdir / file) for name, file in names.items()}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: usage: ")
+        assert named in captured.err
+        assert not (workdir / "out.ppm").exists() and not (workdir / "key.txt").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wavemark attack")
+
+    def test_process_exit_status(self, tmp_path):
+        # main's return value is the process's exit status
+        import wavemark
+
+        env = {**os.environ, "PYTHONPATH": str(Path(wavemark.__file__).parents[1])}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "wavemark.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True)
+
+        bad = run("attack", "in.ppm", "out.ppm", "--fill", "2")
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr.count("\n") == 1 and bad.stderr.startswith("error: usage: --fill")
+        good = run("synth", "host.ppm", "--size", "16")
+        assert good.returncode == 0, good.stderr
+        assert (tmp_path / "host.ppm").exists() and not (tmp_path / "out.ppm").exists()
 
 
 class TestGrayscaleHost:

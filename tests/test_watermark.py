@@ -1,9 +1,12 @@
+import functools
 import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemark import (
     BitMatrix,
@@ -327,6 +330,49 @@ class TestEmbedExtract:
         total_sq = overlap * mark.size * (1.5 * delta) ** 2 * e_max
         psnr_floor = 10.0 * math.log10(256 * 256 / total_sq)
         assert psnr(host, w) >= psnr_floor
+
+
+@functools.cache
+def _atom_stack(band: int, width: int, n: int) -> float:
+    """max_p sum_k |atom_k(p)| over the first n LL3 coefficients of a band x
+    width grid: the most a sample moves when each of them moves by 1."""
+    cols = width >> 3
+    atoms = (np.abs(ll_synthesis_atom(band, width, k // cols, k % cols)) for k in range(n))
+    return float(sum(atoms).max())
+
+
+@st.composite
+def _fitting_embeds(draw):
+    """(host, mark, seed, delta): a float host whose sides are multiples of
+    8, a mark that fits its LL3, and every host sample at least the most
+    embed can move it from 0 and from 1, so that the gamut clip never acts."""
+    h8, w8 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = draw(st.integers(1, h8 * w8))
+    cols = draw(st.integers(1, h8 * w8 // rows))
+    delta = draw(st.floats(MIN_DELTA, 1.9))
+    seed = draw(st.integers(0, 2**64 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height, width = 8 * h8, 8 * w8
+    # embed synthesises the band's LL alone, and moves each of its first
+    # rows * cols coefficients by at most delta
+    band = _mark_band(height, width, rows * cols)
+    margin = delta * _atom_stack(band, width, rows * cols)
+    assert margin < 0.5
+    u = rng.random((3, height, width))
+    # about a tenth of the samples sit on the margin itself
+    u[rng.random(u.shape) < 0.05] = 0.0
+    u[rng.random(u.shape) < 0.05] = 1.0
+    host = np.clip(u, margin, 1.0 - margin)
+    mark = BitMatrix(rng.integers(0, 2, size=(rows, cols)))
+    return PlanarImage(host), mark, seed, delta
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fitting_embeds())
+def test_extract_inverts_embed_inside_the_gamut(case):
+    host, mark, seed, delta = case
+    marked, key = embed(host, mark, seed=seed, delta=delta)
+    assert np.array_equal(extract(marked, key).bits, mark.bits)
 
 
 class TestKeyFile:

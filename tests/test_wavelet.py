@@ -115,10 +115,12 @@ class TestForward:
         assert np.abs(pyr.ll - cur).max() < 1e-8
 
     def test_non_divisible_dimensions_rejected(self):
-        # a 2x2 grid is smaller than one LL3 coefficient's 8x8 block
-        for shape in ((100, 100), (2, 2)):
-            with pytest.raises(DimensionError, match="divisible by 8"):
-                dwt2_forward(np.zeros(shape))
+        # a 2x2 grid is smaller than one LL3 coefficient's 8x8 block, and a
+        # grid with a zero side holds none
+        for shape in ((100, 100), (2, 2), (0, 8), (8, 0), (0, 0)):
+            for transform in (dwt2_forward, dwt2_ll):
+                with pytest.raises(DimensionError, match="divisible by 8"):
+                    transform(np.zeros(shape))
 
 
 class TestInverse:
