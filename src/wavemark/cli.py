@@ -96,10 +96,16 @@ def _parse_rect(text: str) -> CropRect:
 
 
 def _flag(parse, check=lambda value: None):
-    """An argparse ``type=``: ``parse``, then ``check``; a ValueError becomes a flag error."""
+    """An argparse ``type=``: ``parse``, then ``check``; a ValueError becomes a
+    flag error.  A failed ``float`` reads ``invalid float value: 'x'``, in the
+    words argparse gives a failed ``int``."""
     def convert(text: str):
         try:
             value = parse(text)
+        except ValueError as exc:
+            message = f"invalid float value: {text!r}" if parse is float else str(exc)
+            raise argparse.ArgumentTypeError(message) from None
+        try:
             check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None

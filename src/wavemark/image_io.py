@@ -6,7 +6,9 @@ The header is ``magic width height maxval`` (PBM has no maxval) in
 decimal-digit tokens; ``#`` starts a comment that runs to the end of its
 line, allowed between any two tokens of the header or an ASCII raster.
 ASCII samples are decimal digits between whitespace, except that P1
-digits may run together.  Content after the last sample is ignored.
+digits may run together.  P2/P3 rasters are parsed by numpy arithmetic in
+blocks of whole tokens, exactly: a token of any length above maxval is
+rejected.  Content after the last sample is ignored.
 Exactly one whitespace byte precedes a binary payload.
 
 Samples are held as floats in [0, 1], one C-contiguous (height, width)
@@ -110,9 +112,12 @@ class BitMatrix:
 _TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*([^ \t\r\n\v\f#]*)")
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _NOT_DIGIT_OR_SPACE = re.compile(rb"[^0-9 \t\r\n\v\f]")
+_NOT_DIGIT = re.compile(rb"[^0-9]")
 _WHITESPACE = b" \t\r\n\v\f"
 # the largest width or height a file may declare
 _MAX_SIDE = 1 << 30
+# bytes per ASCII raster block, whose temporaries stay in cache unlike a whole body's
+_TEXT_BLOCK = 1 << 16
 
 
 def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, int]:
@@ -170,8 +175,7 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
             clean = body if bad is None else body[: bad.start()].rstrip(b"0123456789")
             if bad is not None:
                 bad_token = _TOKEN.match(body, len(clean))[1]
-            # np.fromstring reads a blank string as one 0
-            samples = np.fromstring(b"" if clean.isspace() else clean, np.int64, sep=" ")
+            samples = _decimal_samples(clean, maxval)
     else:
         # exactly one whitespace byte separates the header from raster data
         if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -195,6 +199,43 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: sample {first} of {count} exceeds maxval {maxval}")
     # file order is row-major, channels interleaved per pixel
     return samples.reshape(height, padded, channels)[:, :width], maxval
+
+
+def _decimal_samples(body: bytes, maxval: int) -> np.ndarray:
+    """The decimal integers of ``body``, digits and whitespace only, as uint16
+    (uint32 at a five-digit maxval); a token above maxval reads above it.  Each
+    block of about _TEXT_BLOCK bytes ends after a non-digit: no token spans two."""
+    width = len(str(maxval))
+    dtype = np.uint32 if width == 5 else np.uint16
+    data = np.frombuffer(body, np.uint8)
+    parts, start = [np.empty(0, dtype)], 0
+    while start < len(body):
+        cut = _NOT_DIGIT.search(body, start + _TEXT_BLOCK)
+        stop = cut.end() if cut else len(body)
+        parts.append(_block_samples(data[start:stop], width, maxval, dtype))
+        start = stop
+    return np.concatenate(parts)
+
+
+def _block_samples(block: np.ndarray, width: int, maxval: int, dtype) -> np.ndarray:
+    """The tokens of a block that starts at a token's first digit or at whitespace."""
+    z = block - np.uint8(ord("0"))
+    digit = z < 10
+    z *= digit
+    # run[i], i >= k: bytes i-k..i are all digits; values[i]: the last k + 1
+    # digits of the run that ends at byte i, at their place values
+    run, values = digit.copy(), z.astype(dtype)
+    for k in range(1, width + 1):
+        run[k:] &= digit[:-k]
+        if k < width:
+            values[k:] += z[:-k] * run[k:] * dtype(10**k)
+    ends = np.flatnonzero(digit > np.append(digit[1:], False))
+    samples = values[ends]
+    # a nonzero digit `width` places or more before its token's end
+    above = np.flatnonzero(run[width:] & (z[:-width] != 0)) + width
+    if above.size:
+        samples[np.searchsorted(ends, above)] = maxval + 1
+    return samples
 
 
 def read_image(path) -> PlanarImage:

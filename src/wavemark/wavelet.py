@@ -146,8 +146,12 @@ def _forward_level(x: np.ndarray, grid: np.ndarray, maxval: int = 1) -> np.ndarr
     x-highpass half.  The division writes straight into the row halves."""
     h, w = x.shape
     rows = np.empty((2, h, w // 2))  # [lowpass, highpass] along x
-    np.divide(x[:, 0::2], maxval, out=rows[0])
-    np.divide(x[:, 1::2], maxval, out=rows[1])
+    if maxval == 1:  # x / 1 is x, and a copy takes half the time
+        np.copyto(rows[0], x[:, 0::2])
+        np.copyto(rows[1], x[:, 1::2])
+    else:
+        np.divide(x[:, 0::2], maxval, out=rows[0])
+        np.divide(x[:, 1::2], maxval, out=rows[1])
     _lift(rows[0, :, :, None], rows[1, :, :, None], free=grid)
     rows = rows[: grid.shape[1]]
     grid[0] = rows[:, 0::2]

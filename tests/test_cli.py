@@ -420,6 +420,19 @@ class TestUsagePath:
         (["attack", "{host}", "{out}", "--crop", "0,0,8,8", "--fill", "2"], "--fill"),
         (["attack", "{host}", "{out}"], "--compress-t"),
         (["attack", "{host}", "{out}", "--compress-t", "3", "--crop", "0,0,8,8"], "--crop"),
+        # a malformed number reads in argparse's words, for int and float flags
+        # alike; a malformed crop rectangle keeps its own
+        (["embed", "{host}", "{wm}", "{out}", "{key}", "--delta", "abc"],
+         "--delta: invalid float value: 'abc'"),
+        (["embed", "{host}", "{wm}", "{out}", "{key}", "--seed", "abc"],
+         "--seed: invalid int value: 'abc'"),
+        (["attack", "{host}", "{out}", "--compress-t", "x"], "--compress-t: invalid float value: 'x'"),
+        (["attack", "{host}", "{out}", "--crop", "0,0,8,8", "--fill", "q"],
+         "--fill: invalid float value: 'q'"),
+        (["bench", "{host}", "{wm}", "--thresholds", "3,abc"],
+         "--thresholds: invalid float value: 'abc'"),
+        (["attack", "{host}", "{out}", "--crop", "1,2,3"],
+         "--crop: crop rectangle must be four integers x,y,w,h, got '1,2,3'"),
     ])
     def test_one_error_line(self, workdir, capsys, argv, named):
         names = {"host": "host.ppm", "wm": "wm.pbm", "out": "out.ppm", "key": "key.txt"}

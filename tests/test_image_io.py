@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavemark import BitMatrix, FormatError, PlanarImage, quantize
+from wavemark import BitMatrix, FormatError, PlanarImage, image_io, quantize
 from wavemark.image_io import (
+    _TEXT_BLOCK,
+    _decimal_samples,
     _encode_samples,
     _file_samples,
     read_image,
@@ -285,6 +289,8 @@ class TestAsciiDecoding:
             (b"P2\n3 1\n9\n1 x 3\n", "sample 1 of 3"),
             (b"P3\n2 1\n255\n1 2 3 4 5y 6\n", "sample 4 of 6"),
             (b"P3\n1 1\n255\n1 2 300\n", "sample 2 of 3"),
+            (b"P2\n3 1\n255\n0 99999999999999999999 7\n", "sample 1 of 3"),
+            (b"P2\n2 1\n255\n000000000255 0256\n", "sample 1 of 2"),
         ],
     )
     def test_bad_sample_is_named(self, tmp_path, content, where):
@@ -308,6 +314,15 @@ class TestAsciiDecoding:
         p.write_bytes(content)
         with pytest.raises(FormatError):
             read_watermark(p)
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_p3_of_many_text_blocks_equals_p6(self, tmp_path, maxval):
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, (256, 256, 3))
+        a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        a.write_bytes(_netpbm(b"P3", samples, maxval))
+        b.write_bytes(_netpbm(b"P6", samples, maxval))
+        assert a.stat().st_size > 8 * _TEXT_BLOCK
+        assert np.array_equal(read_image(a).data, read_image(b).data)
 
     @pytest.mark.parametrize("magic", [b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"])
     def test_every_prefix_reads_or_raises_format_error(self, tmp_path, magic):
@@ -367,3 +382,33 @@ class TestPlanes:
         assert np.array_equal(got, reference)
         # each plane was encoded into itself
         assert np.array_equal(planes, np.moveaxis(want, -1, 0))
+
+
+@st.composite
+def _decimal_body(draw, maxval: int) -> tuple[bytes, list[int]]:
+    """A raster body of decimal tokens between whitespace runs, and the
+    tokens' values: in and above maxval, with leading zeros, and 20 digits."""
+    value = st.integers(0, maxval) | st.integers(maxval + 1, 10**6) | st.integers(10**19, 10**20 - 1)
+    values = draw(st.lists(value, max_size=40))
+    space = st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\v", b"\f"]), min_size=1,
+                     max_size=3).map(b"".join)
+    edge = space | st.just(b"")
+    tokens = [b"0" * draw(st.integers(0, 12)) + b"%d" % v for v in values]
+    gaps = [draw(space) for _ in tokens[1:]] + [b""]
+    return draw(edge) + b"".join(t + g for t, g in zip(tokens, gaps)) + draw(edge), values
+
+
+@pytest.mark.parametrize("maxval", [1, 9, 10, 255, 1000, 9999, 10000, 65535])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_decimal_samples_are_exact(maxval, data):
+    # each token is its value up to maxval and above maxval past it, in
+    # blocks that cut the body at every position and in whole-file blocks
+    body, values = data.draw(_decimal_body(maxval))
+    want = np.minimum(values, maxval + 1)
+    for block in (_TEXT_BLOCK, 1, 3, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(image_io, "_TEXT_BLOCK", block)
+            got = _decimal_samples(body, maxval)
+        assert got.dtype == (np.uint32 if maxval >= 10000 else np.uint16)
+        assert np.array_equal(np.minimum(got, maxval + 1), want)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from wavemark import BitMatrix, FormatError, WatermarkKey, load_key, read_image
-from wavemark import read_watermark, save_key, write_watermark
+from wavemark import BitMatrix, FormatError, PlanarImage, WatermarkKey, load_key, quantize
+from wavemark import read_image, read_watermark, save_key, write_image, write_watermark
 from wavemark.watermark import MIN_DELTA
 
 # each parser with the magics of the inputs it takes
@@ -138,6 +139,34 @@ def test_watermark_round_trip(tmp_path, cols, data):
     path = tmp_path / "mark.pbm"
     write_watermark(wm, path)
     assert np.array_equal(read_watermark(path).bits, wm.bits)
+
+
+# whitespace runs and comments between the tokens of an ASCII raster
+_GAP = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b" # note\n", b"#0 1\r"]),
+                min_size=1, max_size=3).map(b"".join)
+
+
+@pytest.mark.parametrize("binary_magic, ascii_magic, channels", [(b"P5", b"P2", 1), (b"P6", b"P3", 3)])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sixteen_bit_round_trip(tmp_path, binary_magic, ascii_magic, channels, data):
+    # write then read is quantize, and the same samples as text read the same
+    shape = (channels, data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    img = PlanarImage(data.draw(arrays(np.float64, shape, elements=st.floats(0, 1))))
+    path = tmp_path / "binary"
+    write_image(img, path, 65535)
+    assert path.read_bytes().startswith(binary_magic)
+    back = read_image(path)
+    assert np.array_equal(back.data, quantize(img, 65535).data)
+    samples = np.rint(back.data * 65535).astype(int).transpose(1, 2, 0).ravel()
+    text = b"%s\n%d %d\n65535\n" % (ascii_magic, shape[2], shape[1])
+    # leading zeros and the gap after each sample
+    pads = data.draw(st.lists(st.tuples(st.integers(0, 5), _GAP), min_size=samples.size,
+                              max_size=samples.size))
+    text += b"".join(b"0" * zeros + b"%d" % v + gap for v, (zeros, gap) in zip(samples, pads))
+    (tmp_path / "text").write_bytes(text)
+    assert np.array_equal(read_image(tmp_path / "text").data, back.data)
 
 
 @_SETTINGS

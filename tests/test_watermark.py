@@ -307,8 +307,9 @@ class TestEmbedExtract:
 
     def test_imperceptibility_bound(self, mark):
         # per-pixel Y change is bounded by the quantizer step bound
-        # (1.5 * delta per coefficient) times the worst stack of
-        # overlapping synthesis atoms, measured once by the impulse oracle
+        # (delta per coefficient: _embed_parities moves a coefficient by at
+        # most one step) times the worst stack of overlapping synthesis
+        # atoms, measured once by the impulse oracle
         host = synthesize_host("checker", 256)
         delta = 1 / 16
         w, key = embed(host, mark, seed=3, delta=delta)
@@ -317,7 +318,7 @@ class TestEmbedExtract:
         for i in range(13, 20):  # all atoms overlapping the probe pixel
             for j in range(13, 20):
                 stack += np.abs(ll_synthesis_atom(256, 256, i, j))
-        bound = 1.5 * delta * stack.max()
+        bound = delta * stack.max()
         diff = np.abs(w.data - host.data).max()
         assert diff <= bound
         # PSNR lower bound from n, delta, and measured atom energies
@@ -327,7 +328,7 @@ class TestEmbedExtract:
         ]
         e_max = max(energies)
         overlap = math.ceil(np.ptp(atom.nonzero()[0]) / 8 + 1) ** 2
-        total_sq = overlap * mark.size * (1.5 * delta) ** 2 * e_max
+        total_sq = overlap * mark.size * delta**2 * e_max
         psnr_floor = 10.0 * math.log10(256 * 256 / total_sq)
         assert psnr(host, w) >= psnr_floor
 
