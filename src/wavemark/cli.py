@@ -8,7 +8,7 @@ thresholds, crops) over one or more hosts.
 Every subcommand but ``synth`` keeps the image as its file's integer
 samples.  ``embed`` and ``extract`` turn only the mark's band of rows into
 floats for the library ``embed`` or ``extract``.  ``embed`` and ``attack``
-always write maxval 255; ``embed`` copies the host's rows below the band,
+always write maxval 255; below the band ``embed`` writes the host's rows,
 or requantizes them when its maxval is not 255.  ``attack`` and ``bench``
 share one compression, which decomposes each channel's integer samples
 with no float copy of them and encodes each synthesis as a write would;
@@ -139,20 +139,20 @@ def _check_seed_flag(seed, hosts: int) -> None:
 
 
 def _embed_8bit(host, maxval, wm, seed, delta):
-    """The 8-bit samples ``embed`` writes for a host's integer samples,
-    shaped like them, the key, the host's sums and the output's sums."""
+    """The 8-bit samples ``embed`` writes for a host's integer samples, in the
+    mark's band and below it, the key, the host's sums and the output's sums."""
     band = _mark_band(*host.shape[:2], wm.size)
     # the band is its own mark band, so this is the library embed
     marked, key = embed(_to_image(host[:band], maxval), wm, seed=seed, delta=delta)
-    out = _to_8bit(host, maxval)
-    _file_samples(marked.data, 255, out[:band])
+    top = _file_samples(marked.data, 255, np.empty(host[:band].shape, np.uint8))
     (tx, txx), (bx, bxx) = _host_sums(host[:band]), _host_sums(host[band:])
-    if maxval == 255:  # below the band, y is x
-        ty, tyy, txy = _output_sums(host[:band], out[:band])
-        sums = (ty + bx, tyy + bxx, txy + bxx)
+    ty, tyy, txy = _output_sums(host[:band], top)
+    if maxval == 255:  # below the band, y is x: no copy and no sums to take
+        below, (by, byy, bxy) = host[band:].astype(np.uint8, copy=False), (bx, bxx, bxx)
     else:  # below the band, y is lut[x]
-        sums = _output_sums(host, out)
-    return out, key, (tx + bx, txx + bxx), sums
+        below = _to_8bit(host[band:], maxval)
+        by, byy, bxy = _output_sums(host[band:], below)
+    return top, below, key, (tx + bx, txx + bxx), (ty + by, tyy + byy, txy + bxy)
 
 
 def _extract_samples(samples, maxval, key):
@@ -198,8 +198,8 @@ def cmd_embed(args) -> int:
     host, maxval = _read_host(args.host)
     wm = read_watermark(args.watermark)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
-    out, key, host_sums, sums = _embed_8bit(host, maxval, wm, seed, args.delta)
-    _write_samples(args.out_image, out, 255)
+    top, below, key, host_sums, sums = _embed_8bit(host, maxval, wm, seed, args.delta)
+    _write_samples(args.out_image, 255, top, below)
     save_key(key, args.out_key)
     psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
     print(f"psnr_db={psnr_db:.4f} pearson={r:.6f}")
@@ -224,7 +224,7 @@ def cmd_attack(args) -> int:
         out = _to_8bit(samples, maxval)
         rows, cols = args.crop.window(samples.shape[1], samples.shape[0])
         out[rows, cols] = _encode_samples(np.array([args.fill]), 255)
-    _write_samples(args.out, out, 255)
+    _write_samples(args.out, 255, out)
     return 0
 
 
@@ -312,11 +312,11 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     try:
         host, maxval = _read_host(path)
         # bench rows describe the file pipeline: the 8-bit file embed writes
-        marked, key, host_sums, clean = _embed_8bit(host, maxval, wm, host_seed, delta)
+        top, below, key, host_sums, clean = _embed_8bit(host, maxval, wm, host_seed, delta)
+        marked = np.concatenate((top, below))
     except (WavemarkError, ValueError, OSError):
         return [failed("embed", "-")]
     height, width = host.shape[:2]
-    band = _mark_band(height, width, key.n)
     analyse, compress = _compressor(marked, 255)
 
     def compressed(t):
@@ -326,10 +326,10 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     def cropped(rect):
         rows, cols = rect.window(width, height)
         # extraction reads the band alone, and the rectangle's samples read 0
-        top = marked[:band].copy()
-        top[rows, cols] = 0
+        attacked = top.copy()
+        attacked[rows, cols] = 0
         cut = _output_sums(host[rows, cols], marked[rows, cols])
-        return top, tuple(c - k for c, k in zip(clean, cut))
+        return attacked, tuple(c - k for c, k in zip(clean, cut))
 
     # (scenario, param label, attack): the attack gets the parsed value,
     # never its label read back; it returns what extraction reads, and sums

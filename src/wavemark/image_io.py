@@ -114,6 +114,7 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 _NOT_DIGIT_OR_SPACE = re.compile(rb"[^0-9 \t\r\n\v\f]")
 _NOT_DIGIT = re.compile(rb"[^0-9]")
 _WHITESPACE = b" \t\r\n\v\f"
+_DIGITS_WS = b"0123456789" + _WHITESPACE
 # the largest width or height a file may declare
 _MAX_SIDE = 1 << 30
 # bytes per ASCII raster block, whose temporaries stay in cache unlike a whole body's
@@ -161,21 +162,21 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
 
     bad_token = None
     if magic in (b"P1", b"P2", b"P3"):
-        body = data[pos:]
-        body = _COMMENT.sub(b"", body) if b"#" in body else body
+        if data.find(b"#", pos) >= 0:  # the body is copied only to drop comments
+            data = data[:pos] + _COMMENT.sub(b"", data[pos:])
         if magic == b"P1":
             # bits may run together; any byte but 0 or 1 lands above maxval
-            samples = np.frombuffer(body.translate(None, _WHITESPACE), np.uint8) - ord("0")
+            samples = np.frombuffer(data[pos:].translate(None, _WHITESPACE), np.uint8) - ord("0")
         else:
             # the samples before the first byte that is neither a digit nor
-            # whitespace, less the partial token that byte belongs to
-            # a tenth of the search's time, and empty exactly on a clean body
-            dirty = body.translate(None, b"0123456789" + _WHITESPACE)
-            bad = _NOT_DIGIT_OR_SPACE.search(body) if dirty else None
-            clean = body if bad is None else body[: bad.start()].rstrip(b"0123456789")
-            if bad is not None:
-                bad_token = _TOKEN.match(body, len(clean))[1]
-            samples = _decimal_samples(clean, maxval)
+            # whitespace, less the partial token that byte belongs to; the
+            # translates, a tenth of the search's time, find the header's alone
+            end = len(data)
+            if len(data.translate(None, _DIGITS_WS)) > len(data[:pos].translate(None, _DIGITS_WS)):
+                bad = _NOT_DIGIT_OR_SPACE.search(data, pos).start()
+                end = max(pos, *(data.rfind(space, pos, bad) + 1 for space in _WHITESPACE))
+                bad_token = _TOKEN.match(data, end)[1]
+            samples = _decimal_samples(memoryview(data)[pos:end], maxval)
     else:
         # exactly one whitespace byte separates the header from raster data
         if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -201,10 +202,10 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
     return samples.reshape(height, padded, channels)[:, :width], maxval
 
 
-def _decimal_samples(body: bytes, maxval: int) -> np.ndarray:
-    """The decimal integers of ``body``, digits and whitespace only, as uint16
-    (uint32 at a five-digit maxval); a token above maxval reads above it.  Each
-    block of about _TEXT_BLOCK bytes ends after a non-digit: no token spans two."""
+def _decimal_samples(body, maxval: int) -> np.ndarray:
+    """The decimal integers of bytes-like ``body``, digits and whitespace only,
+    as uint16 (uint32 at a five-digit maxval); a token above maxval reads above
+    it.  Blocks of about _TEXT_BLOCK bytes end after a non-digit: no token spans two."""
     width = len(str(maxval))
     dtype = np.uint32 if width == 5 else np.uint16
     data = np.frombuffer(body, np.uint8)
@@ -267,7 +268,7 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     sample = np.uint8 if maxval == 255 else ">u2"  # 16-bit: MSB first
     out = np.empty((img.height, img.width, img.channels), sample)
     samples = _file_samples((plane.copy() for plane in img.data), maxval, out)
-    _write_samples(path, samples, maxval)
+    _write_samples(path, maxval, samples)
     return _to_image(samples, maxval)
 
 
@@ -284,14 +285,14 @@ def _file_samples(planes, maxval: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_samples(path, samples: np.ndarray, maxval: int) -> None:
-    """Write C-contiguous (height, width, channels) samples, already of the
-    file's sample type, as binary PGM (1 channel) or PPM (3 channels)."""
-    height, width, channels = samples.shape
+def _write_samples(path, maxval: int, *rows: np.ndarray) -> None:
+    """Write C-contiguous (height, width, channels) blocks of the file's sample
+    type, top to bottom, as one binary PGM (1 channel) or PPM (3 channels)."""
+    _, width, channels = rows[0].shape
     magic = b"P5" if channels == 1 else b"P6"
     with open(path, "wb") as fh:
-        fh.write(b"%s\n%d %d\n%d\n" % (magic, width, height, maxval))
-        fh.write(samples)
+        fh.write(b"%s\n%d %d\n%d\n" % (magic, width, sum(len(r) for r in rows), maxval))
+        fh.writelines(rows)
 
 
 def _encode_samples(arr: np.ndarray, maxval: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -13,9 +13,10 @@ Only luma changes, and every row of the backward colour matrix gives Y a
 weight of one, so the watermarked image is the host plus the luma change
 in each channel, clipped to [0, 1].  That change is the synthesis of the
 LL coefficient changes alone.  CDF 9/7 lifting is local, so both the
-analysis and the synthesis run on the top rows of the image that hold
-the mark's coefficients, plus a margin (see :func:`_mark_band`); below
-those rows the host is returned unchanged.
+analysis and the synthesis run on the band of top rows that holds the
+mark's LL3 rows and the margin :func:`wavelet.band_margin` derives from
+the lifting's reach, 3 LL3 rows or 24 image rows (see :func:`_mark_band`);
+below the band the host is returned unchanged.
 
 A recovered bit survives any coefficient perturbation below delta / 2,
 the quantizer's decision-region half-width, which is what buys
@@ -29,7 +30,7 @@ import numpy as np
 from .colorspace import luma
 from .errors import CapacityError, FormatError
 from .image_io import BitMatrix, PlanarImage, round_half_away
-from .wavelet import LEVELS, check_dimensions, dwt2_ll, dwt2_ll_inverse
+from .wavelet import LEVELS, band_margin, check_dimensions, dwt2_ll, dwt2_ll_inverse
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -51,11 +52,6 @@ DEFAULT_DELTA = 1.0 / 16.0
 # coefficient falls in bin 0, so that bounds delta from above (see
 # _check_delta).
 MIN_DELTA = 2.0**-19
-# LL rows analysed and synthesised below the mark's last row.  Lifting
-# carries the fold at a band's bottom edge up by at most 3 LL rows in the
-# analysis and 2 in the synthesis (measured bit for bit at the transform's
-# depth, 3); one more row keeps a spare.
-MARGIN = 4
 
 _KEY_MAGIC = "WMKEY1"
 _MASK64 = (1 << 64) - 1
@@ -151,10 +147,10 @@ def _read_parities(c: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _mark_band(height: int, width: int, end: int) -> int:
-    """The rows [0, band) of a height x width image whose analysis yields
-    the first ``end`` LL3 coefficients, in raster order, bit-identical to
-    the whole image's, and whose synthesis holds every sample that
-    changing them moves.  The band of a band is the band itself.
+    """The rows [0, band) of a height x width image whose analysis yields the
+    first ``end`` LL3 coefficients, in raster order, bit-identical to the whole
+    image's, and whose synthesis holds every sample changing them moves: their
+    LL3 rows and :func:`band_margin` more, or all.  A band is its own band.
 
     Raises unless the dimensions fit the transform and the LL3 grid holds
     ``end`` coefficients.
@@ -164,7 +160,7 @@ def _mark_band(height: int, width: int, end: int) -> int:
     capacity = (height >> LEVELS) * cols
     if end > capacity:
         raise CapacityError(f"the mark needs {end} coefficients but LL3 holds only {capacity}")
-    return min(height, (-(-end // cols) + MARGIN) << LEVELS)
+    return min(height, (-(-end // cols) + band_margin()) << LEVELS)
 
 
 def _mark_ll(image: PlanarImage, end: int) -> np.ndarray:

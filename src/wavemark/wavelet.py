@@ -103,6 +103,14 @@ class SubbandPyramid:
 # from their even neighbours, update the even ones from their odd ones
 _STEPS = ((ALPHA, True), (BETA, False), (GAMMA, True), (DELTA, False))
 
+# One level's reach along the columns, from _STEPS, whose steps each add to a
+# sample its two neighbours of the other parity: analysis row j reads input rows
+# 2j-4..2j+4, synthesis rows 2j and 2j+1 read band rows j-2..j+2.  So a change to
+# input rows from 2r (above 2r) reaches band rows from r - ANALYSIS_UP (to
+# r + ANALYSIS_DOWN), and to band rows from r (above r) output rows from
+# 2r - SYNTHESIS_UP (to 2r + SYNTHESIS_DOWN).
+ANALYSIS_UP, ANALYSIS_DOWN, SYNTHESIS_UP, SYNTHESIS_DOWN = 2, 1, 3, 3
+
 
 def _lift(
     s: np.ndarray, d: np.ndarray, free: np.ndarray, inverse: bool = False
@@ -191,6 +199,17 @@ def _inverse_level(
     return out
 
 
+def band_margin() -> int:
+    """The LL rows a band of top rows must hold past the last LL row read or
+    written for its transforms to equal the whole image's bit for bit: the fold
+    at its bottom edge reaches ANALYSIS_UP rows up each analysis level, plus half
+    the finer level's reach, 3 in all; a zero-detail synthesis needs only 2."""
+    rows = 0
+    for _ in range(LEVELS):
+        rows = rows // 2 + ANALYSIS_UP
+    return rows
+
+
 def check_dimensions(height: int, width: int) -> None:
     """Raise unless the transform fits a height x width grid: both
     dimensions positive and divisible by 2**LEVELS."""
@@ -266,10 +285,10 @@ def dwt2_ll_inverse(ll: np.ndarray) -> np.ndarray:
     """:func:`dwt2_inverse` of a 3-level pyramid whose only nonzero band
     is ``ll``, bit for bit, without building the zero detail bands.
 
-    Lifting is local, so the top rows of the result depend only on the top
-    rows of ``ll``: a caller may pass a band of LL rows and keep the rows
-    of the result that lie far enough from the band's bottom edge.  ``ll``
-    must be 2-D.
+    Lifting is local: if ``ll`` is zero from row r on and holds at least
+    ``r + band_margin()`` rows, the result is the top of the synthesis of
+    any taller grid that goes on with zero rows, bit for bit, and that
+    synthesis is zero below it.  ``ll`` must be 2-D.
     """
     shape = np.shape(ll)
     if len(shape) != 2:

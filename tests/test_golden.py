@@ -21,6 +21,12 @@ from conftest import make_mark
 _BENCH_CSV_SHA256 = "7927df7db86daaf9674188a1c82417548899881a8f4781180279c9d51267cce5"
 _MARKED_PPM_SHA256 = "2386b903b115bb65f7f93e73600c74fbd1e859830b9e0dabd8d812fd6560d64b"
 _EMBED_REPORT = "psnr_db=47.0639 pearson=0.999882\n"
+# a 256x256 host whose mark band (3 LL3 rows and the margin) is shorter
+# than the image, so that these see the rows below the band too; recorded
+# before the band's margin was derived from the lifting's reach
+_BAND_CSV_SHA256 = "3fc1b947fe20fa87d0330b0ab27fd1485116252d5487268182635088a14d494a"
+_BAND_PPM_SHA256 = "ab40667c382f2dbc62f4037c461ec40d4d676438e936f267d4e0e13862232a0e"
+_BAND_REPORT = "psnr_db=58.3540 pearson=0.999991\n"
 # float64 bytes of a seeded 64x96 pyramid and of its thresholded inverse:
 # the lifting is elementwise, so these hold on any IEEE-754 machine
 _PYRAMID_SHA256 = "ce2fbcdadca7ac129ef657dcfd72a5663c6691b54b2dc1e841e754da4269f496"
@@ -58,6 +64,23 @@ def test_marked_ppm_is_byte_identical(inputs):
 def test_embed_report_is_identical(inputs, capsys):
     assert main(["embed", "noise.ppm", "wm.pbm", "marked.ppm", "marked.key", "--seed", "11"]) == 0
     assert capsys.readouterr().out == _EMBED_REPORT
+
+
+@pytest.fixture
+def band_inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "noise.ppm", "--size", "256", "--kind", "noise", "--seed", "5"]) == 0
+    write_watermark(make_mark(5, 13), "wm.pbm")  # 65 bits end mid-row: 32 LL3 columns
+    return tmp_path
+
+
+def test_band_limited_outputs_are_byte_identical(band_inputs, capsys):
+    assert main(["embed", "noise.ppm", "wm.pbm", "marked.ppm", "marked.key", "--seed", "11"]) == 0
+    assert capsys.readouterr().out == _BAND_REPORT
+    assert _sha256((band_inputs / "marked.ppm").read_bytes()) == _BAND_PPM_SHA256
+    assert main(["bench", "noise.ppm", "wm.pbm", "--seed", "11",
+                 "--thresholds", "3,5,7,40,80", "--format", "csv"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == _BAND_CSV_SHA256
 
 
 def test_wavelet_coefficients_are_bit_identical():

@@ -250,6 +250,30 @@ class TestBandLimited:
         assert calls == []
 
 
+@pytest.mark.parametrize("cols", [1, 3, 8])
+def test_derived_band_is_exact(cols):
+    """At the band the lifting's reach derives, band-limited embed and extract
+    equal the full frame bit for bit; one LL row less breaks the analysis."""
+    assert (_mark_band(512, 512, 960), _mark_band(1024, 1024, 960)) == (144, 88)
+    rng = np.random.default_rng(40 + cols)
+    for hm in (4, 7, 12):
+        host = PlanarImage(rng.random((3, hm * 8, cols * 8)))
+        full = dwt2_ll(luma(host)).reshape(-1)
+        # marks that end at a row's end and, for cols > 1, mid-row
+        for n in sorted({1, cols, cols + 1, 2 * cols, 2 * cols + 1, full.size - 1, full.size}):
+            band = _mark_band(host.height, host.width, n)
+            assert band == min(host.height, 8 * (-(-n // cols) + 3))
+            assert np.array_equal(_mark_ll(host, n).reshape(-1)[:n], full[:n]), (hm, n)
+            wm = BitMatrix(rng.integers(0, 2, size=(1, n)))
+            marked, key = embed(host, wm, seed=n, delta=1 / 16)
+            assert np.array_equal(marked.data, _full_frame_embed(host, wm, n, 1 / 16)), (hm, n)
+            want = xor_bits(_read_parities(full[:n], key.delta), key.r)
+            assert np.array_equal(extract(host, key).bits.reshape(-1), want)
+            if band < host.height:
+                short = dwt2_ll(luma(host.data[:, : band - 8])).reshape(-1)[:n]
+                assert not np.array_equal(short, full[:n]), (hm, n)
+
+
 class TestEmbedExtract:
     def test_round_trip_identity_float_pipeline(self, mark):
         # host content away from the gamut rails, so the backward-transform

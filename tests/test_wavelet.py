@@ -5,13 +5,20 @@ import pytest
 
 from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_details
 from wavemark.wavelet import (
+    ANALYSIS_DOWN,
+    ANALYSIS_UP,
     LEVELS,
+    SYNTHESIS_DOWN,
+    SYNTHESIS_UP,
     DetailBands,
     SubbandPyramid,
     _analyse,
+    _forward_level,
+    _inverse_level,
     _lift,
     _pyramid_grids,
     _thresholded_inverse,
+    band_margin,
     dwt2_ll,
     dwt2_ll_inverse,
     ll_synthesis_atom,
@@ -294,6 +301,17 @@ class TestLLInverse:
             assert got.shape == (h, w)
             assert np.array_equal(got, dwt2_inverse(_zero_pyramid(h, w, LEVELS, ll=ll)))
 
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_band_contract(self, r):
+        # LL zero from row r on: band_margin() rows past r give the top of the
+        # whole synthesis, which is zero below them; a zero-detail change needs 2
+        tall = np.zeros((r + 9, 5))
+        tall[:r] = np.random.default_rng(r).standard_normal((r, 5))
+        full = dwt2_ll_inverse(tall)
+        for rows, exact in ((r + band_margin(), True), (r + 2, True), (r + 1, False)):
+            band = dwt2_ll_inverse(tall[:rows])
+            assert (np.array_equal(band, full[: len(band)]) and not full[len(band) :].any()) == exact
+
     @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()])
     def test_ll_must_be_2d(self, shape):
         with pytest.raises(DimensionError):
@@ -302,6 +320,46 @@ class TestLLInverse:
     def test_atom_checks_dimensions(self):
         with pytest.raises(DimensionError):
             ll_synthesis_atom(100, 96, 0, 0)
+
+
+def _tainted_rows(grid: np.ndarray) -> list[int]:
+    """The rows, along axis -2, of the (..., rows, cols) grids that hold a NaN."""
+    return np.flatnonzero(np.isnan(grid).any(axis=-1).reshape(-1, grid.shape[-2]).any(axis=0)).tolist()
+
+
+class TestReach:
+    """NaN taint through one level measures how far lifting carries a change
+    along the columns.  Lifting is not symmetric, so each reach is measured
+    from below and from above."""
+
+    @pytest.mark.parametrize("r", [2, 5, 9])
+    def test_analysis(self, r):
+        h = 24
+        for rows, want in ((slice(2 * r, None), range(r - ANALYSIS_UP, h // 2)),
+                           (slice(0, 2 * r), range(0, r + ANALYSIS_DOWN + 1))):
+            x = np.zeros((h, 16))
+            x[rows] = np.nan
+            with np.errstate(invalid="ignore"):
+                grid = _forward_level(x, np.empty((2, 2, h // 2, 8)))
+            assert _tainted_rows(grid) == list(want)
+
+    @pytest.mark.parametrize("r", [2, 5, 9])
+    def test_synthesis(self, r):
+        h = 12
+        for rows, want in ((slice(r, None), range(2 * r - SYNTHESIS_UP, 2 * h)),
+                           (slice(0, r), range(0, 2 * r + SYNTHESIS_DOWN + 1))):
+            bands = np.zeros((4, h, 8))
+            bands[:, rows] = np.nan
+            with np.errstate(invalid="ignore"):
+                out = _inverse_level(bands[0], DetailBands(*bands[1:]))
+            assert _tainted_rows(out) == list(want)
+
+    def test_band_margin_is_the_analysis_reach_over_every_level(self):
+        x = np.zeros((8 * 12, 16))
+        x[8 * 7 :] = np.nan  # a band of 7 LL3 rows ends here
+        with np.errstate(invalid="ignore"):
+            ll = dwt2_ll(x)
+        assert _tainted_rows(ll)[0] == 7 - band_margin() == 4
 
 
 class TestThreshold:
