@@ -17,7 +17,8 @@ line and every bench row's PSNR and Pearson come from exact integer sums
 of the host, taken once, and of only the rows or rectangle the step
 changed; a constant image's undefined Pearson reads ``nan``.  A host's
 three channel analyses, then its rows, are computed on the CPUs the
-process may use, with the same bytes and order as on one.
+process may use, with the same bytes and order as on one; ``attack``'s
+analyses run on them too.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr, argparse's rejections too: ``main`` returns 2 for
@@ -28,11 +29,11 @@ library owns with the library's check.  Exit codes: 0 success, 2 usage,
 
 import argparse
 import csv
+import functools
 import io
 import os
 import secrets
 import sys
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -163,30 +164,23 @@ def _extract_samples(samples, maxval, key):
 
 
 def _compressor(samples, maxval):
-    """``analyse(c)``, which fills channel c's pyramid of ``img = samples /
-    maxval`` in grids allocated here, and ``compress(t)``, the 8-bit samples
-    ``write_image(wavelet_compress(img, t))`` writes.  ``compress`` waits for
-    each analysis, which may run on another thread, and raises ValueError if it raised."""
+    """``compress(t)``, the 8-bit samples ``write_image(wavelet_compress(img,
+    t))`` writes for ``img = samples / maxval``.  Each channel's pyramid is
+    analysed first, on every CPU the process may use, into grids allocated
+    here; an analysis's error leaves this call, before any ``compress``."""
     height, width, channels = samples.shape
     check_dimensions(height, width)
-    grids = [_pyramid_grids(height, width) for _ in range(channels)]
-    pyramids = [None] * channels
-    ready = [threading.Event() for _ in range(channels)]
+    pyramids = [_pyramid_grids(height, width) for _ in range(channels)]  # grids until analysed
 
     def analyse(c):
-        try:
-            pyramids[c] = _analyse(samples[..., c], maxval, grids[c])
-        finally:  # so that no compress waits for ever
-            ready[c].set()
+        pyramids[c] = _analyse(samples[..., c], maxval, pyramids[c])
 
-    def planes(t):
-        for c in range(channels):
-            ready[c].wait()
-            if pyramids[c] is None:
-                raise ValueError(f"channel {c} has no pyramid: its analysis failed")
-            yield _thresholded_inverse(pyramids[c], t / 255.0)
+    def compress(t):
+        planes = (_thresholded_inverse(pyramid, t / 255.0) for pyramid in pyramids)
+        return _file_samples(planes, 255, np.empty(samples.shape, np.uint8))
 
-    return analyse, lambda t: _file_samples(planes(t), 255, np.empty(samples.shape, np.uint8))
+    _on_every_cpu(channels, analyse)
+    return compress
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +210,7 @@ def cmd_extract(args) -> int:
 def cmd_attack(args) -> int:
     samples, maxval = _read_samples(args.image)
     if args.crop is None:
-        analyse, compress = _compressor(samples, maxval)
-        for c in range(samples.shape[2]):
-            analyse(c)
-        out = compress(args.compress_t)
+        out = _compressor(samples, maxval)(args.compress_t)
     else:  # the bytes write_image(crop(img, rect, fill)) writes
         out = _to_8bit(samples, maxval)
         rows, cols = args.crop.window(samples.shape[1], samples.shape[0])
@@ -263,17 +254,17 @@ def _default_rects(width: int, height: int) -> list[CropRect]:
 def _on_every_cpu(n: int, task) -> None:
     """Call ``task(i)`` for every i in range(n) on the calling thread and
     one worker thread per extra CPU, each taking the next i when it is free.
-    Indices are taken in order, so a task may wait for a lower index that
-    never waits itself: a thread has already taken it.  Once a task raises,
-    no task starts, and the error leaves when the running ones have ended.
+    Once a task raises, no task starts, and the error leaves when the
+    running ones have ended.
 
     The calling thread does its share: each thread allocates from its own
     glibc heap, which keeps its high-water mark, so a worker in its place
-    would only add one more heap's peak.
+    would only add one more heap's peak.  The workers are kept: a thread
+    frees its heap after its join returns, so a new one may make another.
     """
-    # imported here: it loads logging, 5 ms and 0.6 MiB that no other
-    # subcommand needs
-    from concurrent.futures import ThreadPoolExecutor
+    # imported here: it loads logging, 5 ms and 0.6 MiB that only bench and
+    # attack --compress-t need
+    from concurrent.futures import wait
 
     indices = iter(range(n))  # the GIL makes each next() on it atomic
 
@@ -290,20 +281,29 @@ def _on_every_cpu(n: int, task) -> None:
     except AttributeError:  # not every platform has it
         cpus = os.cpu_count() or 1
     extra = min(cpus, n) - 1
-    # a pool starts a thread per submit, so with one CPU none starts
-    with ThreadPoolExecutor(max(extra, 1)) as pool:
-        workers = [pool.submit(drain) for _ in range(extra)]
+    workers = [_workers(cpus - 1).submit(drain) for _ in range(extra)]
+    try:
         drain()
+    finally:  # the error leaves when the running tasks have ended
+        wait(workers)
     for worker in workers:
         worker.result()
+
+
+@functools.cache
+def _workers(count: int):
+    """A pool of up to ``count`` threads, kept for the process."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(count)
 
 
 def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]:
     """One host's rows, in scenario order: clean, each threshold, each crop.
 
     A crop row's sums are the clean row's less its rectangle's, which fill
-    0 sets to 0.  The channel analyses and the rows are computed on every
-    CPU the process may use; each row is stored at its own index, so
+    0 sets to 0.  The channel analyses, then the rows, are computed on
+    every CPU the process may use; each row is stored at its own index, so
     neither the bytes nor the order depend on them.
     """
     def failed(scenario: str, param: str) -> BenchRow:
@@ -317,7 +317,7 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     except (WavemarkError, ValueError, OSError):
         return [failed("embed", "-")]
     height, width = host.shape[:2]
-    analyse, compress = _compressor(marked, 255)
+    compress = _compressor(marked, 255)
 
     def compressed(t):
         out = compress(t)
@@ -353,9 +353,9 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         except (WavemarkError, ValueError, OSError):
             rows[i] = failed(scenario, param)
 
-    # the 3 analyses, then the rows longest first: compress (waiting for them), clean, crops
+    # the rows longest first: compress, clean, crops
     order = [*range(1, 1 + len(thresholds)), 0, *range(1 + len(thresholds), len(scenarios))]
-    _on_every_cpu(3 + len(scenarios), lambda i: analyse(i) if i < 3 else run(order[i - 3]))
+    _on_every_cpu(len(scenarios), lambda i: run(order[i]))
     return rows
 
 

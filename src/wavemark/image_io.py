@@ -19,6 +19,7 @@ rule used throughout the toolkit.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,6 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
     padded = (width + 7) // 8 * 8 if magic == b"P4" else width
     count = height * padded * channels
 
-    bad_token = None
     if magic in (b"P1", b"P2", b"P3"):
         if data.find(b"#", pos) >= 0:  # the body is copied only to drop comments
             data = data[:pos] + _COMMENT.sub(b"", data[pos:])
@@ -168,15 +168,7 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
             # bits may run together; any byte but 0 or 1 lands above maxval
             samples = np.frombuffer(data[pos:].translate(None, _WHITESPACE), np.uint8) - ord("0")
         else:
-            # the samples before the first byte that is neither a digit nor
-            # whitespace, less the partial token that byte belongs to; the
-            # translates, a tenth of the search's time, find the header's alone
-            end = len(data)
-            if len(data.translate(None, _DIGITS_WS)) > len(data[:pos].translate(None, _DIGITS_WS)):
-                bad = _NOT_DIGIT_OR_SPACE.search(data, pos).start()
-                end = max(pos, *(data.rfind(space, pos, bad) + 1 for space in _WHITESPACE))
-                bad_token = _TOKEN.match(data, end)[1]
-            samples = _decimal_samples(memoryview(data)[pos:end], maxval)
+            samples = _decimal_samples(memoryview(data)[pos:], maxval, count, path)
     else:
         # exactly one whitespace byte separates the header from raster data
         if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -190,10 +182,7 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
             samples = np.frombuffer(data, dtype, min(count, fit), pos)
 
     if samples.size < count:
-        where = f"sample {samples.size} of {count}"
-        if bad_token is not None:
-            raise FormatError(f"{path}: {where}: expected a decimal integer, got {bad_token!r}")
-        raise FormatError(f"{path}: truncated payload, file ends before {where}")
+        raise FormatError(f"{path}: truncated payload, file ends before sample {samples.size} of {count}")
     samples = samples[:count]
     if maxval < np.iinfo(samples.dtype).max and samples.max() > maxval:  # else none can exceed it
         first = int(np.argmax(samples > maxval))
@@ -202,20 +191,32 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
     return samples.reshape(height, padded, channels)[:, :width], maxval
 
 
-def _decimal_samples(body, maxval: int) -> np.ndarray:
-    """The decimal integers of bytes-like ``body``, digits and whitespace only,
-    as uint16 (uint32 at a five-digit maxval); a token above maxval reads above
-    it.  Blocks of about _TEXT_BLOCK bytes end after a non-digit: no token spans two."""
+def _decimal_samples(body, maxval: int, count: int = sys.maxsize, path=None) -> np.ndarray:
+    """Up to ``count`` decimal integers of bytes-like ``body`` of ``path``, as
+    uint16 (uint32 at a five-digit maxval); a token above maxval reads above it,
+    and one with a byte that is neither a digit nor whitespace raises FormatError.
+    Blocks of about _TEXT_BLOCK bytes end after a non-digit: no token spans two."""
     width = len(str(maxval))
     dtype = np.uint32 if width == 5 else np.uint16
     data = np.frombuffer(body, np.uint8)
-    parts, start = [np.empty(0, dtype)], 0
-    while start < len(body):
+    # sized by the body, whose tokens but the last each end at a separator byte
+    out = np.empty(min(count, (len(body) + 1) // 2), dtype)
+    n = start = 0
+    while start < len(body) and n < len(out):
         cut = _NOT_DIGIT.search(body, start + _TEXT_BLOCK)
-        stop = cut.end() if cut else len(body)
-        parts.append(_block_samples(data[start:stop], width, maxval, dtype))
+        stop = end = cut.end() if cut else len(body)
+        text = bytes(body[start:stop])
+        if text.translate(None, _DIGITS_WS):  # a tenth of the search's time
+            bad = _NOT_DIGIT_OR_SPACE.search(text).start()
+            end = start + max(text.rfind(space, 0, bad) + 1 for space in _WHITESPACE)
+        samples = _block_samples(data[start:end], width, maxval, dtype)[:len(out) - n]
+        out[n:n + len(samples)] = samples
+        n += len(samples)
+        if end < stop and n < count:  # the bad token comes before the last sample
+            token = _TOKEN.match(body, end)[1]
+            raise FormatError(f"{path}: sample {n} of {count}: expected a decimal integer, got {token!r}")
         start = stop
-    return np.concatenate(parts)
+    return out[:n]
 
 
 def _block_samples(block: np.ndarray, width: int, maxval: int, dtype) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from wavemark import PlanarImage, ber, nc, pearson, psnr, read_image, read_watermark
 from wavemark import write_image, write_watermark
 from wavemark.cli import _on_every_cpu, main
-from conftest import make_mark
+from conftest import _report_cpus, make_mark
 
 
 @pytest.fixture
@@ -33,10 +33,6 @@ def _embed(workdir, *extra):
          str(out), str(key), "--seed", "42", *extra]
     )
     return code, out, key
-
-
-def _report_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestSynth:
@@ -560,13 +556,13 @@ class TestBench:
         real_compressor, real_window = cli._compressor, CropRect.window
 
         def spy_compressor(samples, maxval):
-            analyse, compress = real_compressor(samples, maxval)
+            compress = real_compressor(samples, maxval)
 
             def spy(t):
                 thresholds.append(t)
                 return compress(t)
 
-            return analyse, spy
+            return spy
 
         def spy_window(rect, *args, **kwargs):
             rects.append(rect)
@@ -681,8 +677,8 @@ class TestBench:
 
 
 class TestParallelAnalyses:
-    """Each host's channel analyses run as tasks of its row pool, and the
-    compress rows wait for them."""
+    """Each host's channel analyses run on every CPU, and end before its
+    rows start."""
 
     def test_csv_with_more_threads_than_pyramids(self, workdir, capsys, monkeypatch):
         noise = workdir / "noise.ppm"
@@ -691,7 +687,7 @@ class TestParallelAnalyses:
                 "--seed", "42", "--format", "csv", "--thresholds", "0,1,3,5,7,40,80,inf"]
         outputs = []
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # a row that did not wait would read a half-made pyramid
+        sys.setswitchinterval(1e-5)  # a row that started before the analyses ended would read a half-made pyramid
         try:
             for cpus in (1, 3, 8):
                 _report_cpus(monkeypatch, cpus)
@@ -789,6 +785,22 @@ class TestOnEveryCpu:
 
         with pytest.raises(RuntimeError, match="task 5"):
             _on_every_cpu(20, task)
+
+    def test_the_workers_serve_every_call(self, monkeypatch):
+        # a host's analyses and its rows are two calls: workers started for
+        # the second, as the first call's exit, could each make one more heap
+        _report_cpus(monkeypatch, 3)
+        calls = []
+        for _ in range(2):
+            arrived, threads = threading.Barrier(3), set()
+
+            def task(i):
+                arrived.wait(timeout=30)  # so each of the three threads takes one index
+                threads.add(threading.current_thread())
+
+            _on_every_cpu(3, task)
+            calls.append(threads - {threading.current_thread()})
+        assert len(calls[0]) == 2 and calls[1] == calls[0]
 
 
 def test_readme_round_trip(tmp_path, monkeypatch, capsys):

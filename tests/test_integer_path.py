@@ -8,6 +8,7 @@ bytes, the key, the printed report line, the recovered mark, the attacked
 file and every cell of the bench table.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from wavemark import DimensionError, SubbandPyramid, dwt2_forward, dwt2_inverse,
 from wavemark.cli import _bench_host, _default_rects, main
 from wavemark.image_io import _encode_samples, _to_8bit
 from wavemark.watermark import DEFAULT_DELTA, _mark_band
-from conftest import make_mark
+from conftest import _report_cpus, make_mark
 
 MAXVALS = [1, 7, 100, 255, 256, 1000, 65535]
 
@@ -115,14 +116,16 @@ def test_cli_matches_float_path_for_any_host(
 
 @pytest.mark.parametrize("maxval", [1, 7, 255, 1000, 65535])
 @pytest.mark.parametrize("magic", [b"P2", b"P3", b"P5", b"P6"])
-def test_attack_matches_float_path(tmp_path, magic, maxval):
+def test_attack_matches_float_path(tmp_path, monkeypatch, magic, maxval):
     channels = 3 if magic in (b"P3", b"P6") else 1
     samples = np.random.default_rng([maxval, channels]).integers(
         0, maxval, (32, 48, channels), endpoint=True)
     host, out, ref = tmp_path / "host.pnm", tmp_path / "out.ppm", tmp_path / "ref.ppm"
     _write_host(host, samples, maxval, magic)
     image = read_image(host)
-    for t in (0.0, 3.0, 80.0, math.inf):
+    # the analyses on one thread, and on as many as a colour host has channels
+    for cpus, t in itertools.product((1, 3), (0.0, 3.0, 80.0, math.inf)):
+        _report_cpus(monkeypatch, cpus)
         assert main(["attack", str(host), str(out), "--compress-t", f"{t:g}"]) == 0
         write_image(wavelet_compress(image, t), ref)
         assert out.read_bytes() == ref.read_bytes()
