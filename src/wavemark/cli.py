@@ -6,19 +6,20 @@ mark, and ``bench`` runs the whole robustness table (clean, compression
 thresholds, crops) over one or more hosts.
 
 Every subcommand but ``synth`` keeps the image as its file's integer
-samples.  ``embed`` and ``extract`` turn only the mark's band of rows into
-floats for the library ``embed`` or ``extract``.  ``embed`` and ``attack``
-always write maxval 255; below the band ``embed`` writes the host's rows,
-or requantizes them when its maxval is not 255.  ``attack`` and ``bench``
-share one compression, which decomposes each channel's integer samples
-with no float copy of them and encodes each synthesis as a write would;
-``bench`` runs each scenario on the file ``embed`` writes.  The report
-line and every bench row's PSNR and Pearson come from exact integer sums
-of the host, taken once, and of only the rows or rectangle the step
-changed; a constant image's undefined Pearson reads ``nan``.  A host's
-three channel analyses, then its rows, are computed on the CPUs the
-process may use, with the same bytes and order as on one; ``attack``'s
-analyses run on them too.
+samples and builds no ``PlanarImage``: ``embed``, ``extract`` and
+``bench`` hand a (channels, height, width) view of them to the watermark's
+band core, which turns only the mark's band of rows into floats.
+``embed`` and ``attack`` always write maxval 255; below the band ``embed``
+writes the host's rows, or requantizes them when its maxval is not 255.
+``attack`` and ``bench`` share one compression, which decomposes each
+channel's integer samples with no float copy of them and encodes each
+synthesis as a write would; ``bench`` runs each scenario on the file
+``embed`` writes.  The report line and every bench row's PSNR and Pearson
+come from exact integer sums of the host, taken once, and of only the rows
+or rectangle the step changed; a constant image's undefined Pearson reads
+``nan``.  A host's three channel analyses, then its rows, are computed on
+the CPUs the process may use, with the same bytes and order as on one;
+``attack``'s analyses run on them too.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr, argparse's rejections too: ``main`` returns 2 for
@@ -45,7 +46,6 @@ from .image_io import (
     _file_samples,
     _read_samples,
     _to_8bit,
-    _to_image,
     _write_samples,
     read_watermark,
     write_image,
@@ -53,15 +53,7 @@ from .image_io import (
 )
 from .metrics import _host_sums, _output_sums, _psnr_pearson, ber, nc
 from .synth import KINDS, synthesize_host
-from .watermark import (
-    DEFAULT_DELTA,
-    _check_delta,
-    _mark_band,
-    embed,
-    extract,
-    load_key,
-    save_key,
-)
+from .watermark import DEFAULT_DELTA, _check_delta, _embed_band, _extract_band, load_key, save_key
 from .wavelet import _analyse, _check_threshold, _pyramid_grids, _thresholded_inverse, check_dimensions
 
 __all__ = ["main"]
@@ -142,10 +134,9 @@ def _check_seed_flag(seed, hosts: int) -> None:
 def _embed_8bit(host, maxval, wm, seed, delta):
     """The 8-bit samples ``embed`` writes for a host's integer samples, in the
     mark's band and below it, the key, the host's sums and the output's sums."""
-    band = _mark_band(*host.shape[:2], wm.size)
-    # the band is its own mark band, so this is the library embed
-    marked, key = embed(_to_image(host[:band], maxval), wm, seed=seed, delta=delta)
-    top = _file_samples(marked.data, 255, np.empty(host[:band].shape, np.uint8))
+    marked, key = _embed_band(host.transpose(2, 0, 1), maxval, wm, seed, delta)
+    band = marked.shape[1]
+    top = _file_samples(marked, 255, np.empty(host[:band].shape, np.uint8))
     (tx, txx), (bx, bxx) = _host_sums(host[:band]), _host_sums(host[band:])
     ty, tyy, txy = _output_sums(host[:band], top)
     if maxval == 255:  # below the band, y is x: no copy and no sums to take
@@ -154,13 +145,6 @@ def _embed_8bit(host, maxval, wm, seed, delta):
         below = _to_8bit(host[band:], maxval)
         by, byy, bxy = _output_sums(host[band:], below)
     return top, below, key, (tx + bx, txx + bxx), (ty + by, tyy + byy, txy + bxy)
-
-
-def _extract_samples(samples, maxval, key):
-    """The library ``extract`` of ``samples / maxval``, from the mark's band
-    of rows alone."""
-    band = _mark_band(*samples.shape[:2], key.n)
-    return extract(_to_image(samples[:band], maxval), key)
 
 
 def _compressor(samples, maxval):
@@ -203,7 +187,7 @@ def cmd_embed(args) -> int:
 def cmd_extract(args) -> int:
     image, maxval = _read_host(args.image)
     key = load_key(args.key)
-    write_watermark(_extract_samples(image, maxval, key), args.out_watermark)
+    write_watermark(_extract_band(image.transpose(2, 0, 1), maxval, key), args.out_watermark)
     return 0
 
 
@@ -346,16 +330,14 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         scenario, param, attack = scenarios[i]
         try:
             attacked, sums = attack()
-            recovered = _extract_samples(attacked, 255, key)
+            recovered = _extract_band(attacked.transpose(2, 0, 1), 255, key)
             psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
             rows[i] = BenchRow(path, scenario, param, f"{psnr_db:.4f}", f"{r:.6f}",
                                f"{nc(wm, recovered):.6f}", f"{ber(wm, recovered):.4f}")
         except (WavemarkError, ValueError, OSError):
             rows[i] = failed(scenario, param)
 
-    # the rows longest first: compress, clean, crops
-    order = [*range(1, 1 + len(thresholds)), 0, *range(1 + len(thresholds), len(scenarios))]
-    _on_every_cpu(len(scenarios), lambda i: run(order[i]))
+    _on_every_cpu(len(scenarios), run)
     return rows
 
 

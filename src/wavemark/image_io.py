@@ -19,7 +19,6 @@ rule used throughout the toolkit.
 """
 
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +161,14 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
     count = height * padded * channels
 
     if magic in (b"P1", b"P2", b"P3"):
+        body = memoryview(data)[pos:]
         if data.find(b"#", pos) >= 0:  # the body is copied only to drop comments
-            data = data[:pos] + _COMMENT.sub(b"", data[pos:])
+            body = _COMMENT.sub(b"", body)
         if magic == b"P1":
             # bits may run together; any byte but 0 or 1 lands above maxval
-            samples = np.frombuffer(data[pos:].translate(None, _WHITESPACE), np.uint8) - ord("0")
+            samples = np.frombuffer(bytes(body).translate(None, _WHITESPACE), np.uint8) - ord("0")
         else:
-            samples = _decimal_samples(memoryview(data)[pos:], maxval, count, path)
+            samples = _decimal_samples(body, maxval, count, path)
     else:
         # exactly one whitespace byte separates the header from raster data
         if pos >= len(data) or data[pos] not in _WHITESPACE:
@@ -191,7 +191,7 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
     return samples.reshape(height, padded, channels)[:, :width], maxval
 
 
-def _decimal_samples(body, maxval: int, count: int = sys.maxsize, path=None) -> np.ndarray:
+def _decimal_samples(body, maxval: int, count: int, path) -> np.ndarray:
     """Up to ``count`` decimal integers of bytes-like ``body`` of ``path``, as
     uint16 (uint32 at a five-digit maxval); a token above maxval reads above it,
     and one with a byte that is neither a digit nor whitespace raises FormatError.

@@ -16,7 +16,9 @@ LL coefficient changes alone.  CDF 9/7 lifting is local, so both the
 analysis and the synthesis run on the band of top rows that holds the
 mark's LL3 rows and the margin :func:`wavelet.band_margin` derives from
 the lifting's reach, 3 LL3 rows or 24 image rows (see :func:`_mark_band`);
-below the band the host is returned unchanged.
+below the band the host is returned unchanged.  :func:`_embed_band` and
+:func:`_extract_band` take a file's integer samples and its maxval: the CLI
+calls them directly, and :func:`embed` and :func:`extract` at maxval 1.
 
 A recovered bit survives any coefficient perturbation below delta / 2,
 the quantizer's decision-region half-width, which is what buys
@@ -82,8 +84,7 @@ class WatermarkKey:
                 f"R has {r.size} bits, shape {self.rows}x{self.cols} "
                 f"needs {self.rows * self.cols}"
             )
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed {self.seed} is not an unsigned 64-bit integer")
+        _check_seed(self.seed)
         _check_delta(self.delta)
         object.__setattr__(self, "r", r.astype(np.uint8))
 
@@ -100,8 +101,7 @@ def generate_r(n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    _check_seed(seed)
     with np.errstate(over="ignore"):
         state = np.uint64(seed) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(
             _SM64_GOLDEN
@@ -119,6 +119,11 @@ def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     return a ^ b
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} is not an unsigned 64-bit integer")
 
 
 def _check_delta(delta: float) -> None:
@@ -163,11 +168,35 @@ def _mark_band(height: int, width: int, end: int) -> int:
     return min(height, (-(-end // cols) + band_margin()) << LEVELS)
 
 
-def _mark_ll(image: PlanarImage, end: int) -> np.ndarray:
-    """LL3 of the luma of the image's rows [0, band), the band of
-    :func:`_mark_band`."""
-    band = _mark_band(image.height, image.width, end)
-    return dwt2_ll(luma(image.data[:, :band]))
+def _unit_band(planes: np.ndarray, maxval: int, end: int) -> np.ndarray:
+    """``planes / maxval`` over the rows of :func:`_mark_band`, a new array."""
+    band = _mark_band(planes.shape[1], planes.shape[2], end)
+    return np.divide(planes[:, :band], maxval, order="C")
+
+
+def _embed_band(planes: np.ndarray, maxval: int, wm: BitMatrix, seed: int, delta: float):
+    """:func:`embed` of ``planes / maxval``, (3, height, width) samples, as
+    the marked rows of :func:`_mark_band`, a new array, and the key."""
+    _check_delta(delta)
+    n = wm.size
+    out = _unit_band(planes, maxval, n)
+    ll = dwt2_ll(luma(out))
+    r = generate_r(n, seed)
+    encrypted = xor_bits(wm.bits.reshape(-1), r)
+    c = ll.reshape(-1)[:n]
+    change = np.zeros_like(ll)
+    change.reshape(-1)[:n] = _embed_parities(c, encrypted, delta) - c
+    out += dwt2_ll_inverse(change)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out, WatermarkKey(r=r, rows=wm.rows, cols=wm.cols, delta=delta, seed=seed)
+
+
+def _extract_band(planes: np.ndarray, maxval: int, key: WatermarkKey) -> BitMatrix:
+    """:func:`extract` of ``planes / maxval``, (3, height, width) samples,
+    from the rows of :func:`_mark_band` alone."""
+    ll = dwt2_ll(luma(_unit_band(planes, maxval, key.n)))
+    encrypted = _read_parities(ll.reshape(-1)[: key.n], key.delta)
+    return BitMatrix(xor_bits(encrypted, key.r).reshape(key.rows, key.cols))
 
 
 def embed(
@@ -178,21 +207,8 @@ def embed(
     Returns the watermarked image and the key required for extraction.
     The watermark must fit: rows*cols <= (width/8) * (height/8).
     """
-    _check_delta(delta)
-    n = wm.size
-    ll = _mark_ll(host, n)
-    r = generate_r(n, seed)
-    encrypted = xor_bits(wm.bits.reshape(-1), r)
-    c = ll.reshape(-1)[:n]
-    change = np.zeros_like(ll)
-    change.reshape(-1)[:n] = _embed_parities(c, encrypted, delta) - c
-    dy = dwt2_ll_inverse(change)
-    out = host.data.copy()
-    band = out[:, : dy.shape[0]]
-    band += dy
-    np.clip(band, 0.0, 1.0, out=band)
-    key = WatermarkKey(r=r, rows=wm.rows, cols=wm.cols, delta=delta, seed=seed)
-    return PlanarImage(out), key
+    band, key = _embed_band(host.data, 1, wm, seed, delta)
+    return PlanarImage(np.concatenate((band, host.data[:, band.shape[1]:]), axis=1)), key
 
 
 def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
@@ -201,10 +217,7 @@ def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
     Blind: only the watermarked image and the key are consulted, and of
     the image only the LL subband of its luma.
     """
-    ll = _mark_ll(watermarked, key.n)
-    encrypted = _read_parities(ll.reshape(-1)[: key.n], key.delta)
-    bits = xor_bits(encrypted, key.r)
-    return BitMatrix(bits.reshape(key.rows, key.cols))
+    return _extract_band(watermarked.data, 1, key)
 
 
 def save_key(key: WatermarkKey, path) -> None:

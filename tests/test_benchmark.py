@@ -5,7 +5,8 @@ output (exit codes, the marked file's shape and printed PSNR, bit-exact
 clean extraction, the bench CSV's rows), so a change that breaks what the
 benchmark measures fails here, not only when the benchmark is run.  The
 three workloads cover the P6 round trip, the bench sweep and the P3 path,
-where the mark's band is the whole image.
+where the mark's band is the whole image; each runs untraced and traced
+(``--trace 1``, whose tracer wraps the program's functions by name).
 """
 
 import json
@@ -18,11 +19,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["roundtrip-1024", "bench-512", "ascii-256"])
-def test_smoke_is_correct(workload):
+_WORKLOADS = ["roundtrip-1024", "bench-512", "ascii-256"]
+
+
+@pytest.mark.parametrize(
+    "workload, trace",
+    [pytest.param(w, "0", id=w) for w in _WORKLOADS]
+    + [pytest.param(w, "1", id=f"{w}-trace") for w in _WORKLOADS],
+)
+def test_smoke_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "0.5", "--smoke"],
+         "--seed", "1", "--seconds", "0.5", "--smoke", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -90,6 +90,18 @@ class TestEmbedExtract:
         assert capsys.readouterr().out == ""
         assert np.array_equal(read_watermark(rec).bits, make_mark().bits)
 
+    def test_no_command_builds_an_image(self, workdir, capsys, monkeypatch):
+        # embed, extract and bench hand the file's samples to the band core
+        calls = []
+        real = PlanarImage.__post_init__
+        monkeypatch.setattr(PlanarImage, "__post_init__", lambda self: calls.append(real(self)))
+        code, out, key = _embed(workdir)
+        assert code == 0 and calls == []
+        assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 0
+        assert calls == []
+        assert main(["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"), "--seed", "7"]) == 0
+        assert calls == [] and "FAILED" not in capsys.readouterr().out
+
     def test_default_embed_on_512_host_clears_47_db(self, tmp_path, capsys):
         host = tmp_path / "host.ppm"
         assert main(["synth", str(host), "--size", "512", "--kind", "noise", "--seed", "1"]) == 0
@@ -707,7 +719,7 @@ class TestParallelAnalyses:
 
         real = cli._analyse
         extracted = []
-        real_extract = cli._extract_samples
+        real_extract = cli._extract_band
 
         def analyse(samples, maxval, grids):
             # channel 1 of the marked samples starts one byte into them
@@ -716,7 +728,7 @@ class TestParallelAnalyses:
             return real(samples, maxval, grids)
 
         monkeypatch.setattr(cli, "_analyse", analyse)
-        monkeypatch.setattr(cli, "_extract_samples",
+        monkeypatch.setattr(cli, "_extract_band",
                             lambda *args: extracted.append(args) or real_extract(*args))
         _report_cpus(monkeypatch, cpus)
         ended = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from wavemark.image_io import (
     _decimal_samples,
     _encode_samples,
     _file_samples,
+    _read_samples,
     read_image,
     read_watermark,
     round_half_away,
@@ -324,6 +327,25 @@ class TestAsciiDecoding:
         assert a.stat().st_size > 8 * _TEXT_BLOCK
         assert np.array_equal(read_image(a).data, read_image(b).data)
 
+    def test_a_comment_copies_the_body_once(self, tmp_path):
+        # a comment costs one comment-free copy of the body, and no more
+        # large enough that the tokenizer's block temporaries are a small part of the peak
+        samples = np.random.default_rng(3).integers(0, 256, (768, 768, 3))
+        plain = _netpbm(b"P3", samples, 255)
+        a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        a.write_bytes(plain)
+        b.write_bytes(plain + b"# one trailing comment\n")
+        peaks = []
+        for p in (a, b):
+            _read_samples(p)  # warm: only the read itself is measured
+            tracemalloc.start()
+            got, maxval = _read_samples(p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert maxval == 255 and np.array_equal(got, samples)
+        body = len(plain) - len(b"P3\n768 768\n255\n")
+        assert peaks[1] - peaks[0] < 2 * body, (peaks, body)
+
     @pytest.mark.parametrize("magic", [b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"])
     def test_every_prefix_reads_or_raises_format_error(self, tmp_path, magic):
         channels = 3 if magic in (b"P3", b"P6") else 1
@@ -409,6 +431,6 @@ def test_decimal_samples_are_exact(maxval, data):
     for block in (_TEXT_BLOCK, 1, 3, 8):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(image_io, "_TEXT_BLOCK", block)
-            got = _decimal_samples(body, maxval)
+            got = _decimal_samples(body, maxval, len(values), None)
         assert got.dtype == (np.uint32 if maxval >= 10000 else np.uint16)
         assert np.array_equal(np.minimum(got, maxval + 1), want)

@@ -25,12 +25,15 @@ from wavemark import (
     xor_bits,
 )
 from wavemark.colorspace import luma
+from wavemark.image_io import _to_image
 from wavemark.watermark import (
     MIN_DELTA,
+    _embed_band,
     _embed_parities,
+    _extract_band,
     _mark_band,
-    _mark_ll,
     _read_parities,
+    _unit_band,
 )
 from wavemark.wavelet import (
     DetailBands,
@@ -208,7 +211,7 @@ class TestBandLimited:
             host = PlanarImage(rng.random((3, hm * 8, cols * 8)))
             full = dwt2_ll(luma(host)).reshape(-1)
             for n in (1, 2 * cols + 1, 3 * cols, full.size - 5, full.size):
-                got = _mark_ll(host, n).reshape(-1)[:n]
+                got = dwt2_ll(luma(_unit_band(host.data, 1, n))).reshape(-1)[:n]
                 assert np.array_equal(got, full[:n]), (hm, cols, n)
                 key = WatermarkKey(r=generate_r(n, 9), rows=1, cols=n)
                 want = xor_bits(_read_parities(full[:n], key.delta), key.r)
@@ -263,7 +266,8 @@ def test_derived_band_is_exact(cols):
         for n in sorted({1, cols, cols + 1, 2 * cols, 2 * cols + 1, full.size - 1, full.size}):
             band = _mark_band(host.height, host.width, n)
             assert band == min(host.height, 8 * (-(-n // cols) + 3))
-            assert np.array_equal(_mark_ll(host, n).reshape(-1)[:n], full[:n]), (hm, n)
+            got = dwt2_ll(luma(_unit_band(host.data, 1, n))).reshape(-1)[:n]
+            assert np.array_equal(got, full[:n]), (hm, n)
             wm = BitMatrix(rng.integers(0, 2, size=(1, n)))
             marked, key = embed(host, wm, seed=n, delta=1 / 16)
             assert np.array_equal(marked.data, _full_frame_embed(host, wm, n, 1 / 16)), (hm, n)
@@ -272,6 +276,44 @@ def test_derived_band_is_exact(cols):
             if band < host.height:
                 short = dwt2_ll(luma(host.data[:, : band - 8])).reshape(-1)[:n]
                 assert not np.array_equal(short, full[:n]), (hm, n)
+
+
+@pytest.mark.parametrize("maxval", [1, 255, 1000, 65535])
+@pytest.mark.parametrize("whole", [False, True], ids=["part", "whole"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_band_core_is_the_library(maxval, whole, data):
+    """The core on a file's integer samples, as a (channels, height, width)
+    view, gives the library's band, key and mark for ``samples / maxval``,
+    for a band that is part of the image and for one that is all of it."""
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16]))
+    top = min(maxval, np.iinfo(dtype).max)
+    cols = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 4 * cols))
+    ll_rows = -(-n // cols)
+    # the band is the mark's LL3 rows and 3 more, or every row
+    hm = data.draw(st.integers(ll_rows, ll_rows + 3) if whole else st.integers(ll_rows + 4, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (hm * 8, cols * 8, 3)
+    if data.draw(st.booleans()):
+        samples = rng.integers(0, top, shape, dtype, endpoint=True)
+    else:  # the rails, where the gamut clip acts
+        samples = rng.choice(np.array([0, top], dtype), shape)
+    wm = BitMatrix(rng.integers(0, 2, size=(1, n)))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    delta = data.draw(st.sampled_from([1 / 16, MIN_DELTA, 1.0]))
+
+    image = _to_image(samples, maxval)
+    want, want_key = embed(image, wm, seed=seed, delta=delta)
+    planes = samples.transpose(2, 0, 1)
+    band, key = _embed_band(planes, maxval, wm, seed, delta)
+    assert (band.shape[1] == shape[0]) == whole
+    assert band.tobytes() == want.data[:, : band.shape[1]].tobytes()
+    assert key.r.tobytes() == want_key.r.tobytes()
+    assert (key.rows, key.cols, key.delta, key.seed) == (1, n, delta, seed)
+    assert (want_key.rows, want_key.cols, want_key.delta, want_key.seed) == (1, n, delta, seed)
+    got = _extract_band(planes, maxval, key)
+    assert got.bits.tobytes() == extract(image, key).bits.tobytes()
 
 
 class TestEmbedExtract:
