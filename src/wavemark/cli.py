@@ -1,49 +1,29 @@
-"""Command-line front end.
+"""Command-line front end: argv in, an exit code out.
 
 Subcommands wire the pipeline end to end: ``synth`` makes a host,
 ``embed`` watermarks it, ``attack`` degrades it, ``extract`` recovers the
-mark, and ``bench`` runs the whole robustness table (clean, compression
-thresholds, crops) over one or more hosts.
-
-Every subcommand but ``synth`` keeps the image as its file's integer
-samples and builds no ``PlanarImage``: ``embed``, ``extract`` and
-``bench`` hand a (channels, height, width) view of them to the watermark's
-band core, which turns only the mark's band of rows into floats.
-``embed`` and ``attack`` always write maxval 255; below the band ``embed``
-writes the host's rows, or requantizes them when its maxval is not 255.
-``attack`` and ``bench`` share one compression, which decomposes each
-channel's integer samples with no float copy of them and encodes each
-synthesis as a write would; ``bench`` runs each scenario on the file
-``embed`` writes.  The report line and every bench row's PSNR and Pearson
-come from exact integer sums of the host, taken once, and of only the rows
-or rectangle the step changed; a constant image's undefined Pearson reads
-``nan``.  A host's three channel analyses, then its rows, are computed on
-the CPUs the process may use, with the same bytes and order as on one;
-``attack``'s analyses run on them too.
+mark, and ``bench`` prints the robustness table that :mod:`wavemark.bench`
+builds.  argparse checks each flag whose rule the library owns with the
+library's check.
 
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr, argparse's rejections too: ``main`` returns 2 for
-them, not ``SystemExit``.  argparse checks each flag whose rule the
-library owns with the library's check.  Exit codes: 0 success, 2 usage,
-3 data/format, 4 capacity/dimension.
+them, not ``SystemExit``.  Exit codes: 0 success, 2 usage, 3 data/format,
+4 capacity/dimension.
 """
 
 import argparse
-import csv
-import functools
-import io
-import os
 import secrets
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
 from .attacks import CropRect, _check_fill
-from .errors import CapacityError, DimensionError, FormatError, UsageError, WavemarkError
+from .bench import BenchRow, _bench_host, _cells, _compressor, _embed_8bit, _read_host
+from .bench import format_csv, format_text
+from .errors import CapacityError, DimensionError, FormatError, UsageError
 from .image_io import (
     _encode_samples,
-    _file_samples,
     _read_samples,
     _to_8bit,
     _write_samples,
@@ -51,33 +31,12 @@ from .image_io import (
     write_image,
     write_watermark,
 )
-from .metrics import _host_sums, _output_sums, _psnr_pearson, ber, nc
+from .metrics import _psnr_pearson
 from .synth import KINDS, synthesize_host
-from .watermark import DEFAULT_DELTA, _check_delta, _embed_band, _extract_band, load_key, save_key
-from .wavelet import _analyse, _check_threshold, _pyramid_grids, _thresholded_inverse, check_dimensions
+from .watermark import DEFAULT_DELTA, _check_delta, _extract_band, _key_text, load_key
+from .wavelet import _check_threshold
 
 __all__ = ["main"]
-
-_FAILED = "FAILED"
-
-
-class BenchRow(NamedTuple):
-    """One (host, scenario) result with formatted metric fields.
-
-    Metric fields hold the string ``FAILED`` when the scenario's module
-    error was caught; the text and CSV views carry identical values.
-    """
-
-    host: str
-    scenario: str
-    param: str
-    psnr_db: str
-    pearson: str
-    nc: str
-    ber_percent: str
-
-
-_CSV_HEADER = BenchRow._fields
 
 
 def _parse_rect(text: str) -> CropRect:
@@ -116,59 +75,10 @@ def _items(convert, sep: str):
     return convert_all
 
 
-def _read_host(path):
-    """A colour host's integer samples, shaped (height, width, 3), and its
-    maxval: the mark lives in the luma of its JPEG-YCbCr."""
-    samples, maxval = _read_samples(path)
-    if samples.shape[2] != 3:
-        raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
-    return samples, maxval
-
-
 def _check_seed_flag(seed, hosts: int) -> None:
     """Host i embeds with seed + i, which must stay an unsigned 64-bit integer."""
     if seed is not None and not 0 <= seed <= 2**64 - hosts:
         raise UsageError(f"--seed: must lie in [0, {2**64 - hosts}] for {hosts} host(s), got {seed}")
-
-
-def _embed_8bit(host, maxval, wm, seed, delta):
-    """The 8-bit samples ``embed`` writes for a host's integer samples, in the
-    mark's band and below it, the key, the host's sums and the output's sums."""
-    marked, key = _embed_band(host.transpose(2, 0, 1), maxval, wm, seed, delta)
-    band = marked.shape[1]
-    top = _file_samples(marked, 255, np.empty(host[:band].shape, np.uint8))
-    (tx, txx), (bx, bxx) = _host_sums(host[:band]), _host_sums(host[band:])
-    ty, tyy, txy = _output_sums(host[:band], top)
-    if maxval == 255:  # below the band, y is x: no copy and no sums to take
-        below, (by, byy, bxy) = host[band:].astype(np.uint8, copy=False), (bx, bxx, bxx)
-    else:  # below the band, y is lut[x]
-        below = _to_8bit(host[band:], maxval)
-        by, byy, bxy = _output_sums(host[band:], below)
-    return top, below, key, (tx + bx, txx + bxx), (ty + by, tyy + byy, txy + bxy)
-
-
-def _compressor(samples, maxval):
-    """``compress(t)``, the 8-bit samples ``write_image(wavelet_compress(img,
-    t))`` writes for ``img = samples / maxval``.  Each channel's pyramid is
-    analysed first, on every CPU the process may use, into grids allocated
-    here; an analysis's error leaves this call, before any ``compress``."""
-    height, width, channels = samples.shape
-    check_dimensions(height, width)
-    pyramids = [_pyramid_grids(height, width) for _ in range(channels)]  # grids until analysed
-
-    def analyse(c):
-        pyramids[c] = _analyse(samples[..., c], maxval, pyramids[c])
-
-    def compress(t):
-        planes = (_thresholded_inverse(pyramid, t / 255.0) for pyramid in pyramids)
-        return _file_samples(planes, 255, np.empty(samples.shape, np.uint8))
-
-    _on_every_cpu(channels, analyse)
-    return compress
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def cmd_embed(args) -> int:
@@ -177,10 +87,16 @@ def cmd_embed(args) -> int:
     wm = read_watermark(args.watermark)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     top, below, key, host_sums, sums = _embed_8bit(host, maxval, wm, seed, args.delta)
-    _write_samples(args.out_image, 255, top, below)
-    save_key(key, args.out_key)
-    psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
-    print(f"psnr_db={psnr_db:.4f} pearson={r:.6f}")
+    # both outputs are opened, and neither truncated, before either is
+    # written: a path that cannot be opened leaves an earlier pair as it was
+    with open(args.out_image, "ab") as image, open(args.out_key, "a", encoding="utf-8") as key_file:
+        image.truncate(0)
+        _write_samples(image, 255, top, below)
+        image.flush()  # so that one path named twice ends up holding the key
+        key_file.truncate(0)
+        key_file.write(_key_text(key))
+    row = BenchRow(args.host, "embed", "-", *_psnr_pearson(host.size, maxval, host_sums, sums))
+    print("psnr_db={} pearson={}".format(*_cells(row)[3:5]))
     return 0
 
 
@@ -199,7 +115,8 @@ def cmd_attack(args) -> int:
         out = _to_8bit(samples, maxval)
         rows, cols = args.crop.window(samples.shape[1], samples.shape[0])
         out[rows, cols] = _encode_samples(np.array([args.fill]), 255)
-    _write_samples(args.out, 255, out)
+    with open(args.out, "wb") as fh:
+        _write_samples(fh, 255, out)
     return 0
 
 
@@ -221,144 +138,6 @@ def cmd_bench(args) -> int:
         rows.extend(_bench_host(path, wm, args.thresholds, args.crops, seed, args.delta))
     sys.stdout.write((format_csv if args.format == "csv" else format_text)(rows))
     return 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _default_rects(width: int, height: int) -> list[CropRect]:
-    # top-left quarter and centered quarter (half extent per axis)
-    return [
-        CropRect(0, 0, width // 2, height // 2),
-        CropRect(width // 4, height // 4, width // 2, height // 2),
-    ]
-
-
-def _on_every_cpu(n: int, task) -> None:
-    """Call ``task(i)`` for every i in range(n) on the calling thread and
-    one worker thread per extra CPU, each taking the next i when it is free.
-    Once a task raises, no task starts, and the error leaves when the
-    running ones have ended.
-
-    The calling thread does its share: each thread allocates from its own
-    glibc heap, which keeps its high-water mark, so a worker in its place
-    would only add one more heap's peak.  The workers are kept: a thread
-    frees its heap after its join returns, so a new one may make another.
-    """
-    # imported here: it loads logging, 5 ms and 0.6 MiB that only bench and
-    # attack --compress-t need
-    from concurrent.futures import wait
-
-    indices = iter(range(n))  # the GIL makes each next() on it atomic
-
-    def drain():
-        try:
-            for i in indices:
-                task(i)
-        finally:  # after an error, take every index left
-            for _ in indices:
-                pass
-
-    try:
-        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
-    except AttributeError:  # not every platform has it
-        cpus = os.cpu_count() or 1
-    extra = min(cpus, n) - 1
-    workers = [_workers(cpus - 1).submit(drain) for _ in range(extra)]
-    try:
-        drain()
-    finally:  # the error leaves when the running tasks have ended
-        wait(workers)
-    for worker in workers:
-        worker.result()
-
-
-@functools.cache
-def _workers(count: int):
-    """A pool of up to ``count`` threads, kept for the process."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(count)
-
-
-def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]:
-    """One host's rows, in scenario order: clean, each threshold, each crop.
-
-    A crop row's sums are the clean row's less its rectangle's, which fill
-    0 sets to 0.  The channel analyses, then the rows, are computed on
-    every CPU the process may use; each row is stored at its own index, so
-    neither the bytes nor the order depend on them.
-    """
-    def failed(scenario: str, param: str) -> BenchRow:
-        return BenchRow(path, scenario, param, _FAILED, _FAILED, _FAILED, _FAILED)
-
-    try:
-        host, maxval = _read_host(path)
-        # bench rows describe the file pipeline: the 8-bit file embed writes
-        top, below, key, host_sums, clean = _embed_8bit(host, maxval, wm, host_seed, delta)
-        marked = np.concatenate((top, below))
-    except (WavemarkError, ValueError, OSError):
-        return [failed("embed", "-")]
-    height, width = host.shape[:2]
-    compress = _compressor(marked, 255)
-
-    def compressed(t):
-        out = compress(t)
-        return out, _output_sums(host, out)
-
-    def cropped(rect):
-        rows, cols = rect.window(width, height)
-        # extraction reads the band alone, and the rectangle's samples read 0
-        attacked = top.copy()
-        attacked[rows, cols] = 0
-        cut = _output_sums(host[rows, cols], marked[rows, cols])
-        return attacked, tuple(c - k for c, k in zip(clean, cut))
-
-    # (scenario, param label, attack): the attack gets the parsed value,
-    # never its label read back; it returns what extraction reads, and sums
-    scenarios = [("clean", "-", lambda: (marked, clean))]
-    scenarios += [("compress", f"{t:g}", lambda t=t: compressed(t)) for t in thresholds]
-    host_rects = rects if rects is not None else _default_rects(width, height)
-    scenarios += [
-        ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: cropped(r)) for r in host_rects
-    ]
-
-    rows = [None] * len(scenarios)
-
-    def run(i: int) -> None:
-        scenario, param, attack = scenarios[i]
-        try:
-            attacked, sums = attack()
-            recovered = _extract_band(attacked.transpose(2, 0, 1), 255, key)
-            psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
-            rows[i] = BenchRow(path, scenario, param, f"{psnr_db:.4f}", f"{r:.6f}",
-                               f"{nc(wm, recovered):.6f}", f"{ber(wm, recovered):.4f}")
-        except (WavemarkError, ValueError, OSError):
-            rows[i] = failed(scenario, param)
-
-    _on_every_cpu(len(scenarios), run)
-    return rows
-
-
-def format_csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([_CSV_HEADER, *rows])
-    return buf.getvalue()
-
-
-def format_text(rows) -> str:
-    table = [_CSV_HEADER, *rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(_CSV_HEADER))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-        for line in table
-    ]
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
 
 
 class _Parser(argparse.ArgumentParser):

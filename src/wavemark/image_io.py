@@ -269,7 +269,8 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     sample = np.uint8 if maxval == 255 else ">u2"  # 16-bit: MSB first
     out = np.empty((img.height, img.width, img.channels), sample)
     samples = _file_samples((plane.copy() for plane in img.data), maxval, out)
-    _write_samples(path, maxval, samples)
+    with open(path, "wb") as fh:
+        _write_samples(fh, maxval, samples)
     return _to_image(samples, maxval)
 
 
@@ -286,14 +287,14 @@ def _file_samples(planes, maxval: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_samples(path, maxval: int, *rows: np.ndarray) -> None:
+def _write_samples(fh, maxval: int, *rows: np.ndarray) -> None:
     """Write C-contiguous (height, width, channels) blocks of the file's sample
-    type, top to bottom, as one binary PGM (1 channel) or PPM (3 channels)."""
+    type, top to bottom, to the binary file ``fh`` as one binary PGM (1
+    channel) or PPM (3 channels)."""
     _, width, channels = rows[0].shape
     magic = b"P5" if channels == 1 else b"P6"
-    with open(path, "wb") as fh:
-        fh.write(b"%s\n%d %d\n%d\n" % (magic, width, sum(len(r) for r in rows), maxval))
-        fh.writelines(rows)
+    fh.write(b"%s\n%d %d\n%d\n" % (magic, width, sum(len(r) for r in rows), maxval))
+    fh.writelines(rows)
 
 
 def _encode_samples(arr: np.ndarray, maxval: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -222,6 +222,11 @@ def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
 
 def save_key(key: WatermarkKey, path) -> None:
     """Write a key file (text, line-oriented; see :func:`load_key`)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_key_text(key))
+
+
+def _key_text(key: WatermarkKey) -> str:
     r_hex = np.packbits(key.r).tobytes().hex().upper()
     lines = [
         _KEY_MAGIC,
@@ -230,8 +235,7 @@ def save_key(key: WatermarkKey, path) -> None:
         f"seed={key.seed}",
         f"R={r_hex}",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_key(path) -> WatermarkKey:

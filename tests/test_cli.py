@@ -12,7 +12,8 @@ import pytest
 
 from wavemark import PlanarImage, ber, nc, pearson, psnr, read_image, read_watermark
 from wavemark import write_image, write_watermark
-from wavemark.cli import _on_every_cpu, main
+from wavemark.bench import _on_every_cpu
+from wavemark.cli import main
 from conftest import _report_cpus, make_mark
 
 
@@ -166,6 +167,26 @@ class TestEmbedExtract:
         code = main(["extract", str(tmp_path / "nope.ppm"), str(tmp_path / "k"), str(tmp_path / "r")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: io:")
+
+    @pytest.mark.parametrize("unopenable", ["image", "key"])
+    def test_an_output_that_cannot_open_leaves_both_as_they_were(self, workdir, capsys, unopenable):
+        # a new image beside the old key would extract wrong bits, with no error
+        code, out, key = _embed(workdir)
+        assert code == 0
+        before = out.read_bytes(), key.read_bytes()
+        paths = {"image": str(out), "key": str(key), unopenable: str(workdir / "missing" / "x")}
+        code = main(["embed", str(workdir / "host.ppm"), str(workdir / "wm.pbm"),
+                     paths["image"], paths["key"], "--seed", "43"])
+        assert code == 3 and capsys.readouterr().err.startswith("error: io:")
+        assert (out.read_bytes(), key.read_bytes()) == before
+
+    def test_one_path_for_image_and_key_ends_up_holding_the_key(self, workdir):
+        code, _, key = _embed(workdir)
+        assert code == 0
+        both = workdir / "both"
+        assert main(["embed", str(workdir / "host.ppm"), str(workdir / "wm.pbm"),
+                     str(both), str(both), "--seed", "42"]) == 0
+        assert both.read_bytes() == key.read_bytes()
 
 
 class TestHostileInputs:
@@ -561,11 +582,11 @@ class TestBench:
         assert len(crops) == 2 and crops[0].count('"') == 2  # rect param quoted
 
     def test_attacks_receive_parsed_values_not_labels(self, workdir, capsys, monkeypatch):
-        from wavemark import cli
+        from wavemark import bench
         from wavemark.attacks import CropRect
 
         thresholds, rects = [], []
-        real_compressor, real_window = cli._compressor, CropRect.window
+        real_compressor, real_window = bench._compressor, CropRect.window
 
         def spy_compressor(samples, maxval):
             compress = real_compressor(samples, maxval)
@@ -580,7 +601,7 @@ class TestBench:
             rects.append(rect)
             return real_window(rect, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_compressor", spy_compressor)
+        monkeypatch.setattr(bench, "_compressor", spy_compressor)
         monkeypatch.setattr(CropRect, "window", spy_window)
         code = main(
             ["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"), "--seed", "42",
@@ -715,11 +736,11 @@ class TestParallelAnalyses:
     def test_a_failed_analysis_ends_the_call(self, workdir, capsys, monkeypatch, cpus, error):
         # as when the compressor raised before the rows started: MemoryError
         # escapes main, and ValueError exits usage
-        from wavemark import cli
+        from wavemark import bench
 
-        real = cli._analyse
+        real = bench._analyse
         extracted = []
-        real_extract = cli._extract_band
+        real_extract = bench._extract_band
 
         def analyse(samples, maxval, grids):
             # channel 1 of the marked samples starts one byte into them
@@ -727,8 +748,8 @@ class TestParallelAnalyses:
                 raise error("analysis of channel 1")
             return real(samples, maxval, grids)
 
-        monkeypatch.setattr(cli, "_analyse", analyse)
-        monkeypatch.setattr(cli, "_extract_band",
+        monkeypatch.setattr(bench, "_analyse", analyse)
+        monkeypatch.setattr(bench, "_extract_band",
                             lambda *args: extracted.append(args) or real_extract(*args))
         _report_cpus(monkeypatch, cpus)
         ended = []

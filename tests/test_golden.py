@@ -27,6 +27,11 @@ _EMBED_REPORT = "psnr_db=47.0639 pearson=0.999882\n"
 _BAND_CSV_SHA256 = "3fc1b947fe20fa87d0330b0ab27fd1485116252d5487268182635088a14d494a"
 _BAND_PPM_SHA256 = "ab40667c382f2dbc62f4037c461ec40d4d676438e936f267d4e0e13862232a0e"
 _BAND_REPORT = "psnr_db=58.3540 pearson=0.999991\n"
+# 64x64 hosts that print every special cell: constant P6 hosts at 0, 255
+# and 128 (nan Pearson, inf and 0 dB PSNR) and a P5 one (FAILED); recorded
+# while rows still held their cells as strings
+_SPECIAL_TEXT_SHA256 = "fa714a2370801c2d6a1e6cfb1a2d511f6d3d92fce4d5a719f037e8a55c7155f6"
+_SPECIAL_CSV_SHA256 = "9b8493d3e3ed53498e0e5e0536019d830e83ac9ba22505e656867e0c6ec3ce5b"
 # float64 bytes of a seeded 64x96 pyramid and of its thresholded inverse:
 # the lifting is elementwise, so these hold on any IEEE-754 machine
 _PYRAMID_SHA256 = "ce2fbcdadca7ac129ef657dcfd72a5663c6691b54b2dc1e841e754da4269f496"
@@ -81,6 +86,20 @@ def test_band_limited_outputs_are_byte_identical(band_inputs, capsys):
     assert main(["bench", "noise.ppm", "wm.pbm", "--seed", "11",
                  "--thresholds", "3,5,7,40,80", "--format", "csv"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == _BAND_CSV_SHA256
+
+
+@pytest.mark.parametrize("fmt, digest", [("text", _SPECIAL_TEXT_SHA256), ("csv", _SPECIAL_CSV_SHA256)])
+def test_bench_special_cells_are_byte_identical(tmp_path, monkeypatch, capsys, fmt, digest):
+    monkeypatch.chdir(tmp_path)
+    for value in (0, 255, 128):
+        Path(f"c{value}.ppm").write_bytes(b"P6\n64 64\n255\n" + bytes([value]) * (64 * 64 * 3))
+    Path("gray.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes(range(64)) * 64)
+    write_watermark(make_mark(4, 16), "wm.pbm")
+    assert main(["bench", "c0.ppm", "c255.ppm", "c128.ppm", "gray.pgm", "wm.pbm", "--seed", "3",
+                 "--thresholds", "0,3,inf", "--crops", "0,0,0,0;0,0,64,64", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert all(cell in out for cell in ("FAILED", "nan", "inf", "0.0000"))
+    assert _sha256(out.encode()) == digest
 
 
 def test_wavelet_coefficients_are_bit_identical():

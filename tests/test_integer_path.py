@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from wavemark import BitMatrix, CropRect, ber, crop, embed, extract, nc, pearson, psnr, quantize
 from wavemark import read_image, read_watermark, save_key, wavelet_compress, write_image
 from wavemark import DimensionError, SubbandPyramid, dwt2_forward, dwt2_inverse, write_watermark
-from wavemark.cli import _bench_host, _default_rects, main
+from wavemark.bench import _bench_host, _cells, _default_rects
+from wavemark.cli import main
 from wavemark.image_io import _encode_samples, _to_8bit
 from wavemark.watermark import DEFAULT_DELTA, _mark_band
 from conftest import _report_cpus, make_mark
@@ -208,7 +209,7 @@ def test_bench_matches_float_path(tmp_path, magic, maxval, height):
     for rects, want_rects in runs:
         rows = _bench_host(str(host), read_watermark(mark_path), thresholds, rects, maxval,
                            DEFAULT_DELTA)
-        got = [tuple(row) for row in rows]
+        got = [_cells(row) for row in rows]
         assert got == _float_path_rows(host, mark, thresholds, want_rects, seed=maxval)
         if rects is not None and rects[0] == CropRect(0, 0, 64, height):
             assert got[-len(rects)][4] == "nan"
@@ -229,7 +230,7 @@ def test_synthesis_validates_no_pyramid_it_built(tmp_path, monkeypatch):
         patch.setattr(SubbandPyramid, "validate", refuse)
         wavelet_compress(read_image(host), 3.0)
         rows = _bench_host(str(host), read_watermark(mark_path), [3.0], [], 1, DEFAULT_DELTA)
-        assert rows[1][1:3] == ("compress", "3") and "FAILED" not in rows[1]
+        assert _cells(rows[1])[1:3] == ("compress", "3") and "FAILED" not in _cells(rows[1])
     details = dwt2_forward(np.zeros((64, 32))).details
     with pytest.raises(DimensionError):
         dwt2_inverse(SubbandPyramid(ll=np.zeros((8, 8)), details=details))
@@ -243,7 +244,7 @@ def test_bench_of_a_constant_host_reads_nan_pearson(tmp_path, value):
     write_watermark(mark, mark_path)
     rects = _default_rects(64, 64)
     rows = _bench_host(str(host), read_watermark(mark_path), [3.0], rects, 7, DEFAULT_DELTA)
-    got = [tuple(row) for row in rows]
+    got = [_cells(row) for row in rows]
     assert got == _float_path_rows(host, mark, [3.0], rects, seed=7)
     assert all(row[4] == "nan" and "FAILED" not in row for row in got)
 
