@@ -93,16 +93,13 @@ def _compressor(samples, maxval):
     from concurrent.futures import ThreadPoolExecutor, wait  # noqa: F401
     height, width, channels = samples.shape
     check_dimensions(height, width)
-    pyramids = [_pyramid_grids(height, width) for _ in range(channels)]  # grids until analysed
-
-    def analyse(c):
-        pyramids[c] = _analyse(samples[..., c], maxval, pyramids[c])
+    grids = [_pyramid_grids(height, width) for _ in range(channels)]
+    pyramids = _on_every_cpu(channels, lambda c: _analyse(samples[..., c], maxval, grids[c]))
 
     def compress(t):
         planes = (_thresholded_inverse(pyramid, t / 255.0) for pyramid in pyramids)
         return _file_samples(planes, 255, np.empty(samples.shape, np.uint8))
 
-    _on_every_cpu(channels, analyse)
     return compress
 
 
@@ -114,11 +111,13 @@ def _default_rects(width: int, height: int) -> list[CropRect]:
     ]
 
 
-def _on_every_cpu(n: int, task) -> None:
-    """Call ``task(i)`` for every i in range(n) on the calling thread and
-    one worker thread per extra CPU, each taking the next i when it is free.
-    Once a task raises, no task starts, and the error leaves when the
-    running ones have ended.
+def _on_every_cpu(n: int, task) -> list:
+    """``[task(0), ..., task(n - 1)]``, in index order whichever thread ran
+    each task.  The calling thread and one worker thread per extra CPU each
+    take the next i when they are free and store ``task(i)`` at index i;
+    the calling thread returns the list once every task has ended.  Once a
+    task raises, no task starts, and the error leaves when the running ones
+    have ended.
 
     The calling thread does its share: each thread allocates from its own
     glibc heap, which keeps its high-water mark, so a worker in its place
@@ -129,12 +128,13 @@ def _on_every_cpu(n: int, task) -> None:
     # attack --compress-t need
     from concurrent.futures import wait
 
+    results = [None] * n
     indices = iter(range(n))  # the GIL makes each next() on it atomic
 
     def drain():
         try:
             for i in indices:
-                task(i)
+                results[i] = task(i)
         finally:  # after an error, take every index left
             for _ in indices:
                 pass
@@ -151,6 +151,7 @@ def _on_every_cpu(n: int, task) -> None:
         wait(workers)
     for worker in workers:
         worker.result()
+    return results
 
 
 @functools.cache
@@ -166,8 +167,8 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
 
     A crop row's sums are the clean row's less its rectangle's, which fill
     0 sets to 0.  The channel analyses, then the rows, are computed on
-    every CPU the process may use; each row is stored at its own index, so
-    neither the bytes nor the order depend on them.
+    every CPU the process may use; ``_on_every_cpu`` returns the rows in
+    scenario order, so neither the bytes nor the order depend on them.
     """
     try:
         host, maxval = _read_host(path)
@@ -200,17 +201,14 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
         ("crop", f"{r.x},{r.y},{r.w},{r.h}", lambda r=r: cropped(r)) for r in host_rects
     ]
 
-    rows = [None] * len(scenarios)
-
-    def run(i: int) -> None:
+    def run(i: int) -> BenchRow:
         scenario, param, attack = scenarios[i]
         try:
             attacked, sums = attack()
             recovered = _extract_band(attacked.transpose(2, 0, 1), 255, key)
             psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
-            rows[i] = BenchRow(path, scenario, param, psnr_db, r, nc(wm, recovered), ber(wm, recovered))
+            return BenchRow(path, scenario, param, psnr_db, r, nc(wm, recovered), ber(wm, recovered))
         except (WavemarkError, ValueError, OSError):
-            rows[i] = BenchRow(path, scenario, param)
+            return BenchRow(path, scenario, param)
 
-    _on_every_cpu(len(scenarios), run)
-    return rows
+    return _on_every_cpu(len(scenarios), run)

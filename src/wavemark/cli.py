@@ -9,7 +9,7 @@ library's check.
 Errors leave via a one-line machine-parsable ``error: <category>:
 <detail>`` on stderr, argparse's rejections too: ``main`` returns 2 for
 them, not ``SystemExit``.  Exit codes: 0 success, 2 usage, 3 data/format,
-4 capacity/dimension.
+4 capacity/dimension/memory.
 """
 
 import argparse
@@ -220,6 +220,8 @@ def main(argv=None) -> int:
         return _fail("capacity", exc, 4)
     except DimensionError as exc:
         return _fail("dimension", exc, 4)
+    except MemoryError as exc:  # an input too large for the memory there is
+        return _fail("memory", exc, 4)
 
 
 def _fail(category: str, exc: Exception, code: int) -> int:

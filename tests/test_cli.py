@@ -497,6 +497,27 @@ class TestUsagePath:
         assert (tmp_path / "host.ppm").exists() and not (tmp_path / "out.ppm").exists()
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+@pytest.mark.parametrize("argv", [
+    ["synth", "o.ppm", "--size", "65536", "--kind", "noise"],  # 96 GiB of samples
+    ["synth", "o.ppm", "--size", "1099511627776"],  # an 8 TiB axis
+])
+def test_an_input_too_large_for_memory_exits_memory(tmp_path, argv):
+    # the child alone is capped, so the allocation fails at once and fills nothing
+    import wavemark
+
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from wavemark.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(wavemark.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: memory: ")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 class TestGrayscaleHost:
     """The mark lives in colour luma: a PGM host is a format error, not usage."""
 
@@ -735,7 +756,7 @@ class TestParallelAnalyses:
     @pytest.mark.parametrize("error", [MemoryError, ValueError])
     def test_a_failed_analysis_ends_the_call(self, workdir, capsys, monkeypatch, cpus, error):
         # as when the compressor raised before the rows started: MemoryError
-        # escapes main, and ValueError exits usage
+        # exits memory, and ValueError exits usage
         from wavemark import bench
 
         real = bench._analyse
@@ -768,10 +789,8 @@ class TestParallelAnalyses:
         assert extracted == []  # no row starts once an analysis has raised
         out, err = capsys.readouterr()
         assert out == ""
-        if error is MemoryError:
-            assert len(ended) == 1 and type(ended[0]) is MemoryError
-        else:
-            assert ended == [2] and err == "error: usage: analysis of channel 1\n"
+        code, category = (4, "memory") if error is MemoryError else (2, "usage")
+        assert ended == [code] and err == f"error: {category}: analysis of channel 1\n"
 
 
 class TestOnEveryCpu:
@@ -802,6 +821,28 @@ class TestOnEveryCpu:
         assert not runner.is_alive()
         assert sorted(seen) == list(range(n))
         assert last_ran.is_set() and len(threads) > 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_returns_every_result_in_index_order(self, monkeypatch, cpus):
+        _report_cpus(monkeypatch, cpus)
+        n, threads = 200, {}
+        last_ran = threading.Event()
+
+        def task(i):
+            if i == 0 and cpus > 1:  # so task 0 ends last, on its own thread
+                last_ran.wait(timeout=30)
+            elif i == n - 1:
+                last_ran.set()
+            threads[i] = threading.get_ident()
+            return i, i * i
+
+        assert _on_every_cpu(n, task) == [(i, i * i) for i in range(n)]
+        ran_on = len(set(threads.values()))
+        assert (ran_on > 1) == (cpus > 1) and ran_on <= cpus and last_ran.is_set()
+
+    def test_no_tasks_return_an_empty_list(self, monkeypatch):
+        _report_cpus(monkeypatch, 4)
+        assert _on_every_cpu(0, lambda i: pytest.fail("no task runs")) == []
 
     def test_one_cpu_runs_every_index_on_the_caller(self, monkeypatch):
         _report_cpus(monkeypatch, 1)
