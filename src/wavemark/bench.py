@@ -6,10 +6,10 @@ turns only the mark's band of rows into floats, ``embed`` writes maxval
 255), and ``attack`` and ``bench`` share one compression, which decomposes
 each channel's samples with no float copy and encodes each synthesis as a
 write would.  ``bench`` runs each scenario on the file ``embed`` writes.
-PSNR and Pearson come from exact integer sums of the host, taken once, and
-of only the rows or rectangle a step changed; a constant image's Pearson
-reads ``nan``.  A host's three channel analyses, then its rows, run on the
-CPUs the process may use, with the same bytes and order as on one.
+PSNR and Pearson come from exact integer sums of the host, taken once, and of
+only the rows or rectangle a step changed; a constant image's Pearson and a
+blank mark's NC read ``nan``.  A host's three channel analyses, then its rows,
+run on the CPUs the process may use, with the same bytes and order as on one.
 """
 
 import csv
@@ -207,7 +207,8 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
             attacked, sums = attack()
             recovered = _extract_band(attacked.transpose(2, 0, 1), 255, key)
             psnr_db, r = _psnr_pearson(host.size, maxval, host_sums, sums)
-            return BenchRow(path, scenario, param, psnr_db, r, nc(wm, recovered), ber(wm, recovered))
+            nc_ = nc(wm, recovered) if wm.bits.any() else float("nan")  # undefined with no ink
+            return BenchRow(path, scenario, param, psnr_db, r, nc_, ber(wm, recovered))
         except (WavemarkError, ValueError, OSError):
             return BenchRow(path, scenario, param)
 

@@ -13,9 +13,9 @@ columns alike, into two contiguous halves and lifts them in place
 (Daubechies & Sweldens, "Factoring wavelet transforms into lifting
 steps", 1998); nothing is transposed.  A level is one [[LL, HL], [LH,
 HH]] grid whose bands the pyramid holds as views.  :func:`dwt2_ll` runs
-the same level step on the lowpass half only, for readers of LL3, and
-:func:`dwt2_ll_inverse` synthesises an LL3 grid whose detail bands are
-all zero, for writers of LL3.
+the same level step on the lowpass half only, for readers of LL3.  One
+routine synthesises, windowed by output rows; :func:`dwt2_ll_inverse`,
+for writers of LL3, runs it over zero detail views.
 
 Normalization puts gain K on the lowpass and 1/K on the highpass, so one
 1-D pass has DC gain sqrt(2) and the 3-level 2-D pyramid satisfies
@@ -168,27 +168,19 @@ def _forward_level(x: np.ndarray, grid: np.ndarray, maxval: int = 1) -> np.ndarr
     return grid
 
 
-def _inverse_level(
-    ll: np.ndarray, bands: DetailBands | None, t: float = 0.0
-) -> np.ndarray:
-    """Exact reversal of :func:`_forward_level`: columns, then rows.
-
-    ``bands=None`` stands for three all-zero detail grids.  A threshold
-    ``t > 0`` first zeroes the detail coefficients with |c| < t, as
-    :func:`threshold_details` does, in the level's own grid."""
+def _inverse_level(ll: np.ndarray, bands: DetailBands, t: float = 0.0) -> np.ndarray:
+    """Exact reversal of :func:`_forward_level`, columns then rows, after zeroing
+    the details with |c| < t in its own grid, as :func:`threshold_details` does."""
     h, w = ll.shape
     grid = np.empty((2, 2, h, w))
     rows = np.empty((2, 2 * h, w))
     grid[0, 0] = ll
-    if bands is None:
-        grid[0, 1] = grid[1] = 0.0
-    else:
-        grid[0, 1], grid[1, 0], grid[1, 1] = bands.hl, bands.lh, bands.hh
-        if t > 0.0:
-            details = grid.reshape(4, h, w)[1:]
-            mag = np.abs(details, out=rows.reshape(-1)[: details.size].reshape(details.shape))
-            # copyto writes +0.0, as np.where does; a mask product would give -0.0
-            np.copyto(details, 0.0, where=mag < t)
+    grid[0, 1], grid[1, 0], grid[1, 1] = bands.hl, bands.lh, bands.hh
+    if t > 0.0:
+        details = grid.reshape(4, h, w)[1:]
+        mag = np.abs(details, out=rows.reshape(-1)[: details.size].reshape(details.shape))
+        # copyto writes +0.0, as np.where does; a mask product would give -0.0
+        np.copyto(details, 0.0, where=mag < t)
     _lift(grid[0], grid[1], free=rows, inverse=True)
     rows[:, 0::2] = grid[0]
     rows[:, 1::2] = grid[1]
@@ -272,31 +264,38 @@ def dwt2_inverse(pyr: SubbandPyramid) -> np.ndarray:
     return _thresholded_inverse(pyr, 0.0)
 
 
-def _thresholded_inverse(pyr: SubbandPyramid, t: float) -> np.ndarray:
-    """``dwt2_inverse(threshold_details(pyr, t))`` of a valid ``pyr`` bit for
-    bit, thresholding each level inside its synthesis, not in a copy."""
-    cur = np.asarray(pyr.ll, dtype=np.float64)
-    for bands in reversed(pyr.details):
-        cur = _inverse_level(cur, bands, t)
-    return cur
+def _thresholded_inverse(
+    pyr: SubbandPyramid, t: float, a: int = 0, b: int | None = None
+) -> np.ndarray:
+    """Rows [a, b), b=None the height, of ``dwt2_inverse(threshold_details(pyr, t))``
+    of a valid ``pyr`` bit for bit, thresholding each level in its synthesis.  Each
+    level reads only the band rows [lo, hi) that reach the rows the finer one needs:
+    a window edge's fold acts as a change past it, whose reach SYNTHESIS_DOWN/UP bound."""
+    if not pyr.details:
+        return np.asarray(pyr.ll[a:b], dtype=np.float64)
+    n = pyr.details[0].lh.shape[0]
+    b = 2 * n if b is None else b
+    lo, hi = max(0, (a - SYNTHESIS_DOWN - 1) // 2), min(n, (b + SYNTHESIS_UP + 1) // 2)
+    ll = _thresholded_inverse(SubbandPyramid(pyr.ll, pyr.details[1:]), t, lo, hi)
+    bands = DetailBands(*(g[lo:hi] for g in pyr.details[0].grids()))
+    return _inverse_level(ll, bands, t)[a - 2 * lo : b - 2 * lo]
 
 
 def dwt2_ll_inverse(ll: np.ndarray) -> np.ndarray:
     """:func:`dwt2_inverse` of a 3-level pyramid whose only nonzero band
-    is ``ll``, bit for bit, without building the zero detail bands.
+    is ``ll``, bit for bit: :func:`_thresholded_inverse` over zero detail views.
 
-    Lifting is local: if ``ll`` is zero from row r on and holds at least
-    ``r + band_margin()`` rows, the result is the top of the synthesis of
-    any taller grid that goes on with zero rows, bit for bit, and that
+    By the window's reach, if ``ll`` is zero from row r on and holds at
+    least ``r + band_margin()`` rows, the result is the top of the synthesis
+    of any taller grid that goes on with zero rows, bit for bit, and that
     synthesis is zero below it.  ``ll`` must be 2-D.
     """
     shape = np.shape(ll)
     if len(shape) != 2:
         raise DimensionError(f"LL grid has shape {shape}, expected 2-D")
-    cur = np.asarray(ll, dtype=np.float64)
-    for _ in range(LEVELS):
-        cur = _inverse_level(cur, None)
-    return cur
+    zeros = [np.broadcast_to(0.0, (shape[0] << i, shape[1] << i)) for i in reversed(range(LEVELS))]
+    details = tuple(DetailBands(z, z, z) for z in zeros)
+    return _thresholded_inverse(SubbandPyramid(np.asarray(ll, np.float64), details), 0.0)
 
 
 def _check_threshold(t: float) -> None:

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavemark import PlanarImage, ber, nc, pearson, psnr, read_image, read_watermark
+from wavemark import BitMatrix, PlanarImage, ber, nc, pearson, psnr, read_image, read_watermark
 from wavemark import write_image, write_watermark
 from wavemark.bench import _on_every_cpu
 from wavemark.cli import main
@@ -714,6 +715,21 @@ class TestBench:
         assert len(failed) == 1 and failed[0].startswith(str(bad))
         good_rows = [line for line in lines if line.startswith(str(good))]
         assert len(good_rows) == 6  # clean + 3 thresholds + 2 default crops
+
+    def test_a_blank_mark_reads_nan_nc(self, workdir, capsys):
+        # NC is undefined with no ink in the reference: its column reads nan,
+        # as an undefined Pearson does, and the other columns keep their values
+        blank = workdir / "blank.pbm"
+        write_watermark(BitMatrix(np.zeros((15, 64), np.uint8)), blank)
+        args = ["bench", str(workdir / "host.ppm"), str(blank), "--seed", "1", "--format", "csv"]
+        assert main(args) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["clean", *["compress"] * 3, *["crop"] * 2]
+        for row in rows:
+            psnr_db, r, nc_cell, ber_cell = row[-4:]
+            assert nc_cell == "nan"
+            assert not any(math.isnan(float(cell)) for cell in (psnr_db, r, ber_cell))
+        assert rows[0][-1] == "0.0000"
 
     def test_text_format_matches_csv_values(self, workdir, capsys):
         args = ["bench", str(workdir / "host.ppm"), str(workdir / "wm.pbm"), "--seed", "7"]
