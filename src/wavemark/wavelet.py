@@ -14,8 +14,8 @@ columns alike, into two contiguous halves and lifts them in place
 steps", 1998); nothing is transposed.  A level is one [[LL, HL], [LH,
 HH]] grid whose bands the pyramid holds as views.  :func:`dwt2_ll` runs
 the same level step on the lowpass half only, for readers of LL3.  One
-routine synthesises, windowed by output rows; :func:`dwt2_ll_inverse`,
-for writers of LL3, runs it over zero detail views.
+level loop synthesises every pyramid; :func:`dwt2_ll_inverse`, for
+writers of LL3, runs it over 0-d zero detail grids.
 
 Normalization puts gain K on the lowpass and 1/K on the highpass, so one
 1-D pass has DC gain sqrt(2) and the 3-level 2-D pyramid satisfies
@@ -264,38 +264,31 @@ def dwt2_inverse(pyr: SubbandPyramid) -> np.ndarray:
     return _thresholded_inverse(pyr, 0.0)
 
 
-def _thresholded_inverse(
-    pyr: SubbandPyramid, t: float, a: int = 0, b: int | None = None
-) -> np.ndarray:
-    """Rows [a, b), b=None the height, of ``dwt2_inverse(threshold_details(pyr, t))``
-    of a valid ``pyr`` bit for bit, thresholding each level in its synthesis.  Each
-    level reads only the band rows [lo, hi) that reach the rows the finer one needs:
-    a window edge's fold acts as a change past it, whose reach SYNTHESIS_DOWN/UP bound."""
-    if not pyr.details:
-        return np.asarray(pyr.ll[a:b], dtype=np.float64)
-    n = pyr.details[0].lh.shape[0]
-    b = 2 * n if b is None else b
-    lo, hi = max(0, (a - SYNTHESIS_DOWN - 1) // 2), min(n, (b + SYNTHESIS_UP + 1) // 2)
-    ll = _thresholded_inverse(SubbandPyramid(pyr.ll, pyr.details[1:]), t, lo, hi)
-    bands = DetailBands(*(g[lo:hi] for g in pyr.details[0].grids()))
-    return _inverse_level(ll, bands, t)[a - 2 * lo : b - 2 * lo]
+def _thresholded_inverse(pyr: SubbandPyramid, t: float) -> np.ndarray:
+    """``dwt2_inverse(threshold_details(pyr, t))`` of a valid ``pyr`` bit for
+    bit, thresholding each level inside its synthesis, not in a copy.  A 0-d
+    detail grid stands for a grid that holds its one value everywhere."""
+    cur = np.asarray(pyr.ll, dtype=np.float64)
+    for bands in reversed(pyr.details):
+        cur = _inverse_level(cur, bands, t)
+    return cur
 
 
 def dwt2_ll_inverse(ll: np.ndarray) -> np.ndarray:
     """:func:`dwt2_inverse` of a 3-level pyramid whose only nonzero band
-    is ``ll``, bit for bit: :func:`_thresholded_inverse` over zero detail views.
+    is ``ll``, bit for bit: :func:`_thresholded_inverse` over 0-d zero
+    detail grids, so no zero band is built.
 
-    By the window's reach, if ``ll`` is zero from row r on and holds at
-    least ``r + band_margin()`` rows, the result is the top of the synthesis
-    of any taller grid that goes on with zero rows, bit for bit, and that
+    Lifting is local: if ``ll`` is zero from row r on and holds at least
+    ``r + band_margin()`` rows, the result is the top of the synthesis of
+    any taller grid that goes on with zero rows, bit for bit, and that
     synthesis is zero below it.  ``ll`` must be 2-D.
     """
     shape = np.shape(ll)
     if len(shape) != 2:
         raise DimensionError(f"LL grid has shape {shape}, expected 2-D")
-    zeros = [np.broadcast_to(0.0, (shape[0] << i, shape[1] << i)) for i in reversed(range(LEVELS))]
-    details = tuple(DetailBands(z, z, z) for z in zeros)
-    return _thresholded_inverse(SubbandPyramid(np.asarray(ll, np.float64), details), 0.0)
+    zero = np.zeros(())  # fills each detail grid as a scalar would
+    return _thresholded_inverse(SubbandPyramid(ll, (DetailBands(zero, zero, zero),) * LEVELS), 0.0)
 
 
 def _check_threshold(t: float) -> None:

@@ -1,10 +1,9 @@
 """One synthesis path in the library.
 
-``wavelet._thresholded_inverse`` runs every synthesis, windowed by output
-rows, so it alone calls ``_inverse_level`` and reads the reach constants
-``SYNTHESIS_UP`` and ``SYNTHESIS_DOWN`` that bound its windows.  A second
-level loop would state that reach a second time.  This parses every module
-and lists each use of those names with the function that holds it.
+``wavelet._thresholded_inverse`` runs every synthesis, ``dwt2_ll_inverse``'s
+included, so it alone calls ``_inverse_level``.  A second level loop would
+be a second synthesis path.  This parses every module and lists each use of
+``_inverse_level`` with the function that holds it.
 """
 
 import ast
@@ -13,21 +12,20 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wavemark").glob("*.py"))
-OWNER = "_thresholded_inverse"
-OWNED = {"_inverse_level", "SYNTHESIS_UP", "SYNTHESIS_DOWN"}
+OWNER, OWNED = "_thresholded_inverse", "_inverse_level"
 
 
-def _uses(tree: ast.AST, owner: str = "<module>") -> list[tuple[str, int, str]]:
-    """(innermost enclosing function, line, name) for each read or import of
-    an owned name; assigning one is not a use."""
+def _uses(tree: ast.AST, owner: str = "<module>") -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) for each read or import of
+    ``OWNED``; defining it is not a use."""
     uses = []
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Name) and node.id in OWNED and isinstance(node.ctx, ast.Load):
-            uses.append((owner, node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in OWNED:
-            uses.append((owner, node.lineno, node.attr))
+        if isinstance(node, ast.Name) and node.id == OWNED and isinstance(node.ctx, ast.Load):
+            uses.append((owner, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == OWNED:
+            uses.append((owner, node.lineno))
         elif isinstance(node, ast.ImportFrom):
-            uses += [(owner, node.lineno, a.name) for a in node.names if a.name in OWNED]
+            uses += [(owner, node.lineno) for a in node.names if a.name == OWNED]
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
         uses += _uses(node, inner)
     return sorted(uses)
@@ -46,27 +44,26 @@ def test_only_the_owner_synthesises_levels(path):
     assert [use for use in _uses(_parse(path)) if use[0] != OWNER] == []
 
 
-def test_the_owner_uses_every_owned_name():
+def test_the_owner_synthesises_levels():
     wavelet = next(p for p in SOURCES if p.name == "wavelet.py")
-    assert {name for owner, _, name in _uses(_parse(wavelet)) if owner == OWNER} == OWNED
+    assert OWNER in {owner for owner, _ in _uses(_parse(wavelet))}
 
 
 def test_every_form_is_caught():
     source = """
 from .wavelet import _inverse_level
-SYNTHESIS_UP, SYNTHESIS_DOWN = 3, 3  # allowed: an assignment
+def _inverse_level(ll, bands):  # allowed: the definition
+    return ll
 def dwt2_ll_inverse(ll):
     return wavelet._inverse_level(ll, None)
 def _thresholded_inverse(pyr, t):
     def level(ll):
-        return _inverse_level(ll, SYNTHESIS_DOWN)
-    return _inverse_level(pyr.ll, SYNTHESIS_UP)
+        return _inverse_level(ll, None)
+    return _inverse_level(pyr.ll, None)
 """
     assert _uses(ast.parse(source)) == [
-        ("<module>", 2, "_inverse_level"),
-        ("_thresholded_inverse", 9, "SYNTHESIS_UP"),
-        ("_thresholded_inverse", 9, "_inverse_level"),
-        ("dwt2_ll_inverse", 5, "_inverse_level"),
-        ("level", 8, "SYNTHESIS_DOWN"),
-        ("level", 8, "_inverse_level"),
+        ("<module>", 2),
+        ("_thresholded_inverse", 10),
+        ("dwt2_ll_inverse", 6),
+        ("level", 9),
     ]

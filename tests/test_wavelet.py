@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_details, wavelet
+from wavemark import DimensionError, dwt2_forward, dwt2_inverse, threshold_details
 from wavemark.wavelet import (
     ANALYSIS_DOWN,
     ANALYSIS_UP,
@@ -405,80 +405,6 @@ class TestThreshold:
         for pyr in (noisy, quiet):
             want = dwt2_inverse(threshold_details(pyr, t))
             assert _thresholded_inverse(pyr, t).tobytes() == want.tobytes()
-
-
-def _band_windows(a: int, b: int, height: int) -> list[tuple[int, int]]:
-    """The band rows [lo, hi) of each level, finest first, whose reach covers
-    output rows [a, b): a band row r reaches output rows 2r - SYNTHESIS_UP to
-    2r + SYNTHESIS_DOWN + 2, and each level wants the rows of the one above."""
-    windows = []
-    for lvl in range(1, LEVELS + 1):
-        a = max(0, (a - SYNTHESIS_DOWN - 1) // 2)
-        b = min(height >> lvl, (b + SYNTHESIS_UP + 1) // 2)
-        windows.append((a, b))
-    return windows
-
-
-def _poisoned(pyr: SubbandPyramid, rows) -> SubbandPyramid:
-    """A copy of ``pyr`` with NaN in each level's detail rows ``rows[level]``
-    (finest first), a slice or a row, and in LL rows ``rows[-1]``."""
-
-    def poison(grid, at):
-        grid = grid.copy()
-        grid[at] = np.nan
-        return grid
-
-    details = tuple(DetailBands(*(poison(g, at) for g in bands.grids()))
-                    for bands, at in zip(pyr.details, rows))
-    return SubbandPyramid(poison(pyr.ll, rows[-1]), details)
-
-
-class TestWindow:
-    """``_thresholded_inverse(pyr, t, a, b)`` is rows [a, b) of the whole
-    synthesis, and each level reads only the band rows of ``_band_windows``."""
-
-    @pytest.mark.parametrize("t", [0.0, 0.05, math.inf])
-    @pytest.mark.parametrize("height", [8, 24, 72])
-    def test_every_window_is_the_rows_of_the_whole(self, height, t):
-        pyr = dwt2_forward(np.random.default_rng(height).random((height, 16)))
-        whole = _thresholded_inverse(pyr, t)
-        for a in range(height):
-            assert _thresholded_inverse(pyr, t, a).tobytes() == whole[a:].tobytes()
-            for b in range(a + 1, height + 1):
-                assert _thresholded_inverse(pyr, t, a, b).tobytes() == whole[a:b].tobytes()
-
-    @pytest.mark.parametrize("t", [0.0, 0.05, math.inf])
-    @pytest.mark.parametrize("height", [24, 72, 136])
-    def test_a_window_reads_nothing_else(self, height, t, monkeypatch):
-        # NaN outside the band windows shows they suffice; the rows each level
-        # synthesises, coarsest first, show it reads no more
-        pyr = dwt2_forward(np.random.default_rng(height).random((height, 16)))
-        whole = _thresholded_inverse(pyr, t)
-        synthesised = []
-        monkeypatch.setattr(wavelet, "_inverse_level", lambda ll, bands, t: (
-            synthesised.append((len(ll), len(bands.lh))) or _inverse_level(ll, bands, t)))
-        for a in range(0, height, 5):
-            for b in {a + 1, *range(a + 4, height, 11), height}:
-                windows = _band_windows(a, b, height)
-                outside = [np.r_[:lo, hi : height >> lvl]
-                           for lvl, (lo, hi) in enumerate(windows, start=1)]
-                synthesised.clear()
-                got = _thresholded_inverse(_poisoned(pyr, outside), t, a, b)
-                assert np.isfinite(got).all() and got.tobytes() == whole[a:b].tobytes()
-                assert synthesised == [(hi - lo, hi - lo) for lo, hi in reversed(windows)]
-
-    @pytest.mark.parametrize("a, b", [(20, 30), (21, 47), (33, 34), (40, 60), (70, 101)])
-    def test_the_reach_is_tight(self, a, b):
-        # level 1's detail row lo taints the whole synthesis's rows [a, b), and
-        # row lo - 1 does not; likewise rows hi - 1 and hi
-        height = 136
-        pyr = dwt2_forward(np.random.default_rng(5).random((height, 16)))
-        (lo, hi), *_ = _band_windows(a, b, height)
-        assert 0 < lo and hi < height // 2
-        for row, taints in ((lo, True), (lo - 1, False), (hi - 1, True), (hi, False)):
-            with np.errstate(invalid="ignore"):
-                out = _thresholded_inverse(_poisoned(pyr, [row, [], []]), 0.0)
-            assert bool(_tainted_rows(out[a:b])) == taints
 
 
 class TestImpulseOracle:
