@@ -58,13 +58,17 @@ def format_text(rows) -> str:
     return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in table)
 
 
-def _read_host(path):
+def _read_host(path, band=lambda height, width: height):
     """A colour host's integer samples, shaped (height, width, 3), and its
-    maxval: the mark lives in the luma of its JPEG-YCbCr."""
-    samples, maxval = _read_samples(path)
-    if samples.shape[2] != 3:
-        raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
-    return samples, maxval
+    maxval: the mark lives in the luma of its JPEG-YCbCr.  Only the rows
+    [0, band(height, width)) are returned, read as
+    :func:`image_io._decode` reads them."""
+    def rows(height, width, channels):
+        if channels != 3:
+            raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
+        return band(height, width)
+
+    return _read_samples(path, rows)
 
 
 def _embed_8bit(host, maxval, wm, seed, delta):
@@ -73,13 +77,13 @@ def _embed_8bit(host, maxval, wm, seed, delta):
     marked, key = _embed_band(host.transpose(2, 0, 1), maxval, wm, seed, delta)
     band = marked.shape[1]
     top = _file_samples(marked, 255, np.empty(host[:band].shape, np.uint8))
-    (tx, txx), (bx, bxx) = _host_sums(host[:band]), _host_sums(host[band:])
-    ty, tyy, txy = _output_sums(host[:band], top)
+    (tx, txx), (bx, bxx) = _host_sums(host[:band], maxval), _host_sums(host[band:], maxval)
+    ty, tyy, txy = _output_sums(host[:band], top, maxval)
     if maxval == 255:  # below the band, y is x: no copy and no sums to take
         below, (by, byy, bxy) = host[band:].astype(np.uint8, copy=False), (bx, bxx, bxx)
     else:  # below the band, y is lut[x]
         below = _to_8bit(host[band:], maxval)
-        by, byy, bxy = _output_sums(host[band:], below)
+        by, byy, bxy = _output_sums(host[band:], below, maxval)
     return top, below, key, (tx + bx, txx + bxx), (ty + by, tyy + byy, txy + bxy)
 
 
@@ -182,14 +186,14 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
 
     def compressed(t):
         out = compress(t)
-        return out, _output_sums(host, out)
+        return out, _output_sums(host, out, maxval)
 
     def cropped(rect):
         rows, cols = rect.window(width, height)
         # extraction reads the band alone, and the rectangle's samples read 0
         attacked = top.copy()
         attacked[rows, cols] = 0
-        cut = _output_sums(host[rows, cols], marked[rows, cols])
+        cut = _output_sums(host[rows, cols], marked[rows, cols], maxval)
         return attacked, tuple(c - k for c, k in zip(clean, cut))
 
     # (scenario, param label, attack): the attack gets the parsed value,

@@ -24,8 +24,10 @@ from .bench import format_csv, format_text
 from .errors import CapacityError, DimensionError, FormatError, UsageError
 from .image_io import (
     _encode_samples,
+    _open_output,
     _read_samples,
     _to_8bit,
+    _write_all,
     _write_samples,
     read_watermark,
     write_image,
@@ -33,7 +35,7 @@ from .image_io import (
 )
 from .metrics import _psnr_pearson
 from .synth import KINDS, synthesize_host
-from .watermark import DEFAULT_DELTA, _check_delta, _extract_band, _key_text, load_key
+from .watermark import DEFAULT_DELTA, _check_delta, _extract_band, _key_bytes, _mark_band, load_key
 from .wavelet import _check_threshold
 
 __all__ = ["main"]
@@ -88,21 +90,26 @@ def cmd_embed(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     top, below, key, host_sums, sums = _embed_8bit(host, maxval, wm, seed, args.delta)
     # both outputs are opened, and neither truncated, before either is
-    # written: a path that cannot be opened leaves an earlier pair as it was
-    with open(args.out_image, "ab") as image, open(args.out_key, "a", encoding="utf-8") as key_file:
-        image.truncate(0)
+    # written: a path that cannot be opened leaves an earlier pair as it was.
+    # The image is written and cut to its length before the key, so one path
+    # named twice ends up holding the key.
+    with _open_output(args.out_image) as image, _open_output(args.out_key) as key_file:
         _write_samples(image, 255, top, below)
-        image.flush()  # so that one path named twice ends up holding the key
-        key_file.truncate(0)
-        key_file.write(_key_text(key))
+        _write_all(key_file, _key_bytes(key))
     row = BenchRow(args.host, "embed", "-", *_psnr_pearson(host.size, maxval, host_sums, sums))
     print("psnr_db={} pearson={}".format(*_cells(row)[3:5]))
     return 0
 
 
 def cmd_extract(args) -> int:
-    image, maxval = _read_host(args.image)
-    key = load_key(args.key)
+    key = None
+
+    def band(height, width):  # the key is read once the image has passed its checks
+        nonlocal key
+        key = load_key(args.key)
+        return _mark_band(height, width, key.n)
+
+    image, maxval = _read_host(args.image, band)
     write_watermark(_extract_band(image.transpose(2, 0, 1), maxval, key), args.out_watermark)
     return 0
 
@@ -115,7 +122,7 @@ def cmd_attack(args) -> int:
         out = _to_8bit(samples, maxval)
         rows, cols = args.crop.window(samples.shape[1], samples.shape[0])
         out[rows, cols] = _encode_samples(np.array([args.fill]), 255)
-    with open(args.out, "wb") as fh:
+    with _open_output(args.out) as fh:
         _write_samples(fh, 255, out)
     return 0
 

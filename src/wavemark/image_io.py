@@ -9,7 +9,14 @@ ASCII samples are decimal digits between whitespace, except that P1
 digits may run together.  P2/P3 rasters are parsed by numpy arithmetic in
 blocks of whole tokens, exactly: a token of any length above maxval is
 rejected.  Content after the last sample is ignored.
-Exactly one whitespace byte precedes a binary payload.
+Exactly one whitespace byte precedes a binary payload.  A read may ask for
+the top rows alone: then a binary file is read for its header, its length
+is checked against the header, and only those rows are read and checked.
+
+Every output is opened by :func:`_open_output`, which creates the path
+or opens it without truncating it; the writer writes from offset 0 and
+truncates the file at the end of what it wrote, so an existing output is
+rewritten in the disk blocks it has.
 
 Samples are held as floats in [0, 1], one C-contiguous (height, width)
 plane per channel; a file sample ``v`` with maximum value ``maxval`` maps
@@ -18,7 +25,9 @@ round-half-away-from-zero (see :func:`round_half_away`), the one rounding
 rule used throughout the toolkit.
 """
 
+import os
 import re
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +128,11 @@ _DIGITS_WS = b"0123456789" + _WHITESPACE
 _MAX_SIDE = 1 << 30
 # bytes per ASCII raster block, whose temporaries stay in cache unlike a whole body's
 _TEXT_BLOCK = 1 << 16
+# bytes first read for a binary header; one that runs past them is decoded whole
+_HEAD = 1 << 12
+_RASTERS = (b"P2", b"P5", b"P3", b"P6")
+# create, never truncate: see _open_output
+_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, int]:
@@ -134,16 +148,9 @@ def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, i
     return int(digits), m.end()
 
 
-def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
-    """Integer samples of a Netpbm file, shaped (height, width, channels), and
-    its maxval; PBM reads as maxval 1.
-
-    Every array is sized by the payload bytes, never by the header's
-    dimensions, so a file that claims more samples than it holds is rejected
-    before anything of that size is allocated.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _header(data: bytes, path, magics: tuple[bytes, ...]) -> tuple[bytes, int, int, int, int]:
+    """The magic, width, height and maxval of the Netpbm header at the start
+    of ``data``, and the offset after its last token; PBM reads as maxval 1."""
     m = _TOKEN.match(data)
     magic = m[1]
     if magic not in magics:
@@ -155,6 +162,77 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
     maxval = 1
     if magic not in (b"P1", b"P4"):
         maxval, pos = _header_int(data, pos, path, "maxval", 65535)
+    return magic, width, height, maxval, pos
+
+
+def _binary_payload(data: bytes, pos: int, maxval: int, path) -> tuple[int, np.dtype]:
+    """The offset of the binary payload after the header that ends at ``pos``,
+    and its sample type."""
+    # exactly one whitespace byte separates the header from raster data
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise FormatError(f"{path}: byte {pos}: expected whitespace before binary payload")
+    return pos + 1, np.dtype(np.uint8 if maxval < 256 else ">u2")  # 16-bit: MSB first
+
+
+def _truncated(path, samples: int, count: int) -> FormatError:
+    return FormatError(f"{path}: truncated payload, file ends before sample {samples} of {count}")
+
+
+def _check_maxval(samples: np.ndarray, maxval: int, count: int, path) -> None:
+    """Raise unless every sample, the first of the file's ``count``, is at
+    most maxval."""
+    if maxval < np.iinfo(samples.dtype).max and samples.max() > maxval:  # else none can exceed it
+        first = int(np.argmax(samples > maxval))
+        raise FormatError(f"{path}: sample {first} of {count} exceeds maxval {maxval}")
+
+
+def _decode(path, magics: tuple[bytes, ...], band=lambda height, width, channels: height):
+    """Integer samples of the rows [0, band(height, width, channels)) of a
+    Netpbm file, shaped (rows, width, channels), and its maxval; PBM reads as
+    maxval 1.
+
+    ``band`` is called once the file has passed every check that reads no
+    sample of those rows.  A P5 or P6 regular file is read for its header,
+    measured by ``os.fstat`` against the samples the header promises, and
+    then read for those rows alone, which alone are checked against maxval.
+    Any other file (ASCII, P4, a pipe, or a header that does not end in its
+    first _HEAD bytes) is decoded whole by :func:`_decode_bytes`.
+    """
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: no byte is copied twice
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe, say: no length to check, no seek
+            return _decode_bytes(fh.read(), path, magics, band)
+        head = fh.read(_HEAD)
+        try:
+            magic, width, height, maxval, pos = _header(head, path, magics)
+        except FormatError:  # raised again by the whole decode
+            magic = None
+        if magic not in (b"P5", b"P6") or pos >= len(head):
+            fh.seek(0)
+            return _decode_bytes(fh.read(), path, magics, band)
+        start, dtype = _binary_payload(head, pos, maxval, path)
+        channels = 3 if magic == b"P6" else 1
+        count = height * width * channels
+        fit = (st.st_size - start) // dtype.itemsize
+        if fit < count:
+            raise _truncated(path, fit, count)
+        rows = band(height, width, channels)
+        fh.seek(start)
+        samples = np.fromfile(fh, dtype, rows * width * channels)
+    if samples.size < rows * width * channels:  # the file shrank since fstat
+        raise _truncated(path, samples.size, count)
+    _check_maxval(samples, maxval, count, path)
+    return samples.reshape(rows, width, channels), maxval
+
+
+def _decode_bytes(data: bytes, path, magics: tuple[bytes, ...], band) -> tuple[np.ndarray, int]:
+    """:func:`_decode` of all the bytes of the file ``path``.
+
+    Every array is sized by the payload bytes, never by the header's
+    dimensions, so a file that claims more samples than it holds is rejected
+    before anything of that size is allocated.
+    """
+    magic, width, height, maxval, pos = _header(data, path, magics)
     channels = 3 if magic in (b"P3", b"P6") else 1
     # P4 pads each row to a whole byte; the pad bits are decoded, then dropped
     padded = (width + 7) // 8 * 8 if magic == b"P4" else width
@@ -170,11 +248,7 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
         else:
             samples = _decimal_samples(body, maxval, count, path)
     else:
-        # exactly one whitespace byte separates the header from raster data
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
-            raise FormatError(f"{path}: byte {pos}: expected whitespace before binary payload")
-        pos += 1
-        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")  # 16-bit: MSB first
+        pos, dtype = _binary_payload(data, pos, maxval, path)
         fit = (len(data) - pos) // dtype.itemsize
         if magic == b"P4":  # rows packed MSB-first, 8 samples to a byte
             samples = np.unpackbits(np.frombuffer(data, dtype, min(count // 8, fit), pos))
@@ -182,13 +256,12 @@ def _decode(path, magics: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
             samples = np.frombuffer(data, dtype, min(count, fit), pos)
 
     if samples.size < count:
-        raise FormatError(f"{path}: truncated payload, file ends before sample {samples.size} of {count}")
+        raise _truncated(path, samples.size, count)
     samples = samples[:count]
-    if maxval < np.iinfo(samples.dtype).max and samples.max() > maxval:  # else none can exceed it
-        first = int(np.argmax(samples > maxval))
-        raise FormatError(f"{path}: sample {first} of {count} exceeds maxval {maxval}")
+    _check_maxval(samples, maxval, count, path)
     # file order is row-major, channels interleaved per pixel
-    return samples.reshape(height, padded, channels)[:, :width], maxval
+    rows = band(height, width, channels)
+    return samples.reshape(height, padded, channels)[:rows, :width], maxval
 
 
 def _decimal_samples(body, maxval: int, count: int, path) -> np.ndarray:
@@ -245,10 +318,11 @@ def read_image(path) -> PlanarImage:
     return _to_image(*_read_samples(path))
 
 
-def _read_samples(path) -> tuple[np.ndarray, int]:
-    """The integer samples of a PGM or PPM file, shaped (height, width,
-    channels), and its maxval."""
-    return _decode(path, (b"P2", b"P5", b"P3", b"P6"))
+def _read_samples(path, band=lambda height, width, channels: height) -> tuple[np.ndarray, int]:
+    """The integer samples of the rows [0, band(height, width, channels)) of a
+    PGM or PPM file, shaped (rows, width, channels), and its maxval, read as
+    :func:`_decode` reads them."""
+    return _decode(path, _RASTERS, band)
 
 
 def _to_image(samples: np.ndarray, maxval: int) -> PlanarImage:
@@ -269,9 +343,24 @@ def write_image(img: PlanarImage, path, maxval: int = 255) -> PlanarImage:
     sample = np.uint8 if maxval == 255 else ">u2"  # 16-bit: MSB first
     out = np.empty((img.height, img.width, img.channels), sample)
     samples = _file_samples((plane.copy() for plane in img.data), maxval, out)
-    with open(path, "wb") as fh:
+    with _open_output(path) as fh:
         _write_samples(fh, maxval, samples)
     return _to_image(samples, maxval)
+
+
+def _open_output(path):
+    """``path`` open for binary writing at offset 0, created if it is missing
+    but not truncated: the writer ends the file after what it wrote with
+    :func:`_write_all`.  An existing output is rewritten in place, in the disk
+    blocks it already has, rather than freed and allocated again."""
+    return open(os.open(path, _OUTPUT_FLAGS, 0o666), "wb")
+
+
+def _write_all(fh, *chunks) -> None:
+    """Write bytes-like ``chunks`` to an :func:`_open_output` file and end
+    the file after them."""
+    fh.writelines(chunks)
+    fh.truncate()  # flushes, then cuts at the position the chunks reached
 
 
 def _file_samples(planes, maxval: int, out: np.ndarray) -> np.ndarray:
@@ -289,12 +378,11 @@ def _file_samples(planes, maxval: int, out: np.ndarray) -> np.ndarray:
 
 def _write_samples(fh, maxval: int, *rows: np.ndarray) -> None:
     """Write C-contiguous (height, width, channels) blocks of the file's sample
-    type, top to bottom, to the binary file ``fh`` as one binary PGM (1
-    channel) or PPM (3 channels)."""
+    type, top to bottom, to the :func:`_open_output` file ``fh`` as one binary
+    PGM (1 channel) or PPM (3 channels)."""
     _, width, channels = rows[0].shape
     magic = b"P5" if channels == 1 else b"P6"
-    fh.write(b"%s\n%d %d\n%d\n" % (magic, width, sum(len(r) for r in rows), maxval))
-    fh.writelines(rows)
+    _write_all(fh, b"%s\n%d %d\n%d\n" % (magic, width, sum(len(r) for r in rows), maxval), *rows)
 
 
 def _encode_samples(arr: np.ndarray, maxval: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -337,7 +425,5 @@ def read_watermark(path) -> BitMatrix:
 def write_watermark(wm: BitMatrix, path) -> None:
     """Write a bit matrix as binary PBM (P4), 1 = ink/black."""
     packed = np.packbits(wm.bits, axis=1)
-    header = b"P4\n%d %d\n" % (wm.cols, wm.rows)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(packed.tobytes())
+    with _open_output(path) as fh:
+        _write_all(fh, b"P4\n%d %d\n" % (wm.cols, wm.rows), packed)

@@ -2,7 +2,9 @@
 
 :func:`psnr` and :func:`pearson` are the float reference.  The command line
 gets them from exact integer sums that add over regions, so it sums only
-the samples that differ from the host."""
+the samples that differ from the host.  Each block of samples is summed in
+the narrowest unsigned integer types that cannot overflow for the host's
+maxval (see :func:`_sum_types`), and the blocks' sums add up as Python ints."""
 
 import math
 
@@ -12,8 +14,9 @@ from .image_io import BitMatrix, PlanarImage
 
 __all__ = ["psnr", "pearson", "nc", "ber"]
 
-# samples per block: two float64 blocks fit in a 2 MiB L2 cache, so each
-# sample is read from memory once; and 2**15 * 65535**2 < 2**53
+# samples per block, whose temporaries stay in cache: a block's sum of
+# products fits the type _sum_types gives it, as 2**15 * 255**2 < 2**32 and
+# 2**15 * 65535**2 < 2**64
 _BLOCK = 1 << 15
 
 
@@ -56,32 +59,44 @@ def pearson(a: PlanarImage, b: PlanarImage) -> float:
 
 
 def _blocks(*arrays):
-    """Float64 blocks of at most _BLOCK samples, taken in step from integer
-    arrays of one shape (one array gives arrays, not 1-tuples).  A block's
-    sums are integers below 2**53, exact in float64 in any order, so as
-    Python ints they add up exactly over blocks and regions."""
+    """Blocks of at most _BLOCK samples, taken in step from integer arrays of
+    one shape (one array gives arrays, not 1-tuples)."""
     return np.nditer(arrays, ["external_loop", "buffered", "zerosize_ok"],
-                     [["readonly"]] * len(arrays), op_dtypes=["f8"] * len(arrays),
-                     buffersize=_BLOCK)
+                     [["readonly"]] * len(arrays), buffersize=_BLOCK)
 
 
-def _host_sums(x: np.ndarray) -> tuple[int, int]:
-    """Σx and Σx² of integer samples, exactly."""
+def _sum_types(maxval: int):
+    """The (product, block sum) unsigned types for host samples in [0, maxval]
+    and 8-bit output samples: the narrowest that hold the product of any two
+    such samples, and the sum of _BLOCK such products, exactly."""
+    return (np.uint16, np.uint32) if maxval <= 255 else (np.uint32, np.uint64)
+
+
+def _host_sums(x: np.ndarray, maxval: int) -> tuple[int, int]:
+    """Σx and Σx² of integer samples in [0, maxval], exactly."""
+    product, total = _sum_types(maxval)
     sx = sxx = 0
     for b in _blocks(x):
-        # einsum, not b @ b: OpenBLAS threads busy-wait after each dot, taking bench's CPUs
-        sx, sxx = sx + int(np.einsum("i->", b)), sxx + int(np.einsum("i,i", b, b))
+        w = b.astype(product)
+        sx += int(w.sum(dtype=total))
+        w *= w
+        sxx += int(w.sum(dtype=total))
     return sx, sxx
 
 
-def _output_sums(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
-    """Σy, Σy² and Σxy of host samples ``x`` and output samples ``y``, integer
-    arrays of one shape, exactly."""
+def _output_sums(x: np.ndarray, y: np.ndarray, maxval: int) -> tuple[int, int, int]:
+    """Σy, Σy² and Σxy of host samples ``x`` in [0, maxval] and output samples
+    ``y`` in [0, 255], integer arrays of one shape, exactly."""
+    product, total = _sum_types(maxval)
     sy = syy = sxy = 0
     for xb, yb in _blocks(x, y):
-        sy += int(np.einsum("i->", yb))
-        syy += int(np.einsum("i,i", yb, yb))
-        sxy += int(np.einsum("i,i", xb, yb))
+        w = yb.astype(product)
+        sy += int(w.sum(dtype=total))
+        xy = xb.astype(product)
+        xy *= w
+        sxy += int(xy.sum(dtype=total))
+        w *= w
+        syy += int(w.sum(dtype=total))
     return sy, syy, sxy
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .colorspace import luma
 from .errors import CapacityError, FormatError
-from .image_io import BitMatrix, PlanarImage, round_half_away
+from .image_io import BitMatrix, PlanarImage, _open_output, _write_all, round_half_away
 from .wavelet import LEVELS, band_margin, check_dimensions, dwt2_ll, dwt2_ll_inverse
 
 __all__ = [
@@ -222,11 +222,11 @@ def extract(watermarked: PlanarImage, key: WatermarkKey) -> BitMatrix:
 
 def save_key(key: WatermarkKey, path) -> None:
     """Write a key file (text, line-oriented; see :func:`load_key`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_key_text(key))
+    with _open_output(path) as fh:
+        _write_all(fh, _key_bytes(key))
 
 
-def _key_text(key: WatermarkKey) -> str:
+def _key_bytes(key: WatermarkKey) -> bytes:
     r_hex = np.packbits(key.r).tobytes().hex().upper()
     lines = [
         _KEY_MAGIC,
@@ -235,7 +235,7 @@ def _key_text(key: WatermarkKey) -> str:
         f"seed={key.seed}",
         f"R={r_hex}",
     ]
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 def load_key(path) -> WatermarkKey:

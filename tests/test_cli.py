@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from wavemark import BitMatrix, PlanarImage, ber, nc, pearson, psnr, read_image, read_watermark
-from wavemark import write_image, write_watermark
+from wavemark import FormatError, write_image, write_watermark
 from wavemark.bench import _on_every_cpu
 from wavemark.cli import main
+from wavemark.image_io import _read_samples
+from wavemark.watermark import _mark_band
 from conftest import _report_cpus, make_mark
 
 
@@ -188,6 +190,144 @@ class TestEmbedExtract:
         assert main(["embed", str(workdir / "host.ppm"), str(workdir / "wm.pbm"),
                      str(both), str(both), "--seed", "42"]) == 0
         assert both.read_bytes() == key.read_bytes()
+
+
+@pytest.fixture
+def tall(tmp_path):
+    """A 512x512 noise host marked by ``embed``, and its key: the 960-bit
+    mark's band is the top 144 rows."""
+    host, wm = tmp_path / "host.ppm", tmp_path / "wm.pbm"
+    assert main(["synth", str(host), "--size", "512", "--kind", "noise", "--seed", "3"]) == 0
+    write_watermark(make_mark(), wm)
+    out, key = tmp_path / "marked.ppm", tmp_path / "key.txt"
+    assert main(["embed", str(host), str(wm), str(out), str(key), "--seed", "5"]) == 0
+    assert _mark_band(512, 512, make_mark().size) == 144
+    return out, key
+
+
+def _extract(capsys, image, key):
+    """extract's exit code, its error line, and the bits it recovered."""
+    capsys.readouterr()
+    rec = Path(key).parent / "rec.pbm"
+    rec.unlink(missing_ok=True)
+    code = main(["extract", str(image), str(key), str(rec)])
+    return code, capsys.readouterr().err, read_watermark(rec).bits if code == 0 else None
+
+
+def _p6_maxval_1000(image):
+    """The samples of an 8-bit P6 on the 1000 grid, and the file's header."""
+    samples, _ = _read_samples(image)
+    return np.floor(samples * (1000 / 255) + 0.5).astype(">u2"), b"P6\n512 512\n1000\n"
+
+
+class TestExtractReadsTheBand:
+    """A binary host is read for its header and its mark's band of rows; the
+    file's length is checked against the header, its other samples are not."""
+
+    def test_a_short_payload_past_the_band_exits_format(self, tall, capsys):
+        out, key = tall
+        data = out.read_bytes()
+        kept = (144 + 10) * 512 * 3 + 1  # the band whole, and part of a pixel
+        out.write_bytes(data[:len(data) - 512 * 512 * 3 + kept])
+        with pytest.raises(FormatError) as whole:  # the message of a whole read
+            _read_samples(out)
+        code, err, _ = _extract(capsys, out, key)
+        assert code == 3 and err == f"error: format: {whole.value}\n"
+        assert err.endswith(f"truncated payload, file ends before sample {kept} of 786432\n")
+
+    def test_bytes_after_the_last_sample_are_ignored(self, tall, capsys):
+        out, key = tall
+        out.write_bytes(out.read_bytes() + b"P6 # not a sample \xff\x00" * 1000)
+        code, _, bits = _extract(capsys, out, key)
+        assert code == 0 and np.array_equal(bits, make_mark().bits)
+
+    def test_a_sample_above_maxval_below_the_band_is_not_read(self, tall, capsys):
+        out, key = tall
+        samples, header = _p6_maxval_1000(out)
+        samples[300, 7, 1] = 1001
+        out.write_bytes(header + samples.tobytes())
+        with pytest.raises(FormatError, match="exceeds maxval 1000"):
+            _read_samples(out)  # a whole read rejects the file
+        code, _, bits = _extract(capsys, out, key)
+        assert code == 0 and np.array_equal(bits, make_mark().bits)
+
+    def test_a_sample_above_maxval_in_the_band_exits_format(self, tall, capsys):
+        out, key = tall
+        samples, header = _p6_maxval_1000(out)
+        samples[100, 7, 1] = 1001
+        out.write_bytes(header + samples.tobytes())
+        code, err, _ = _extract(capsys, out, key)
+        first = (100 * 512 + 7) * 3 + 1
+        assert code == 3
+        assert err == f"error: format: {out}: sample {first} of 786432 exceeds maxval 1000\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+    def test_a_host_through_a_pipe_is_read_whole(self, tall, capsys):
+        out, key = tall
+        pipe = out.parent / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(out.read_bytes(),), daemon=True)
+        writer.start()
+        code, _, bits = _extract(capsys, pipe, key)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == 0 and np.array_equal(bits, make_mark().bits)
+
+    @pytest.mark.parametrize("image, category, named", [
+        (None, "io", "No such file"),
+        (b"P6\n512 512\n255\n" + bytes(100), "format", "truncated payload"),
+        (b"P6\n512 0\n255\n", "format", "expected height"),
+        (b"P5\n512 512\n255\n" + bytes(512 * 512), "format", "P3/P6"),
+        (b"P3\n512 512\n255\n" + b"0 " * 10, "format", "truncated payload"),
+    ])
+    def test_the_image_is_checked_before_the_key(self, tmp_path, capsys, image, category, named):
+        path, key = tmp_path / "image.ppm", tmp_path / "key.txt"
+        if image is not None:
+            path.write_bytes(image)
+        key.write_text("not a key\n")
+        code, err, _ = _extract(capsys, path, key)
+        assert code == 3 and err.startswith(f"error: {category}:")
+        assert str(path) in err and named in err
+
+
+class TestOutputsInPlace:
+    """Every output is written from its start and cut where the writing
+    ends, in the file that is there: an existing output, longer or shorter,
+    ends up holding what a new one would."""
+
+    @staticmethod
+    def _argv(workdir, command, outs):
+        marked, key = workdir / "marked.ppm", workdir / "key.txt"
+        return [str(a) for a in {
+            "embed": ["embed", workdir / "host.ppm", workdir / "wm.pbm", *outs, "--seed", "42"],
+            "attack": ["attack", marked, outs[0], "--compress-t", "5"],
+            "synth": ["synth", outs[0], "--size", "64", "--kind", "noise"],
+            "extract": ["extract", marked, key, outs[0]],
+        }[command]]
+
+    @pytest.mark.parametrize("command", ["embed", "attack", "synth", "extract"])
+    @pytest.mark.parametrize("stale", [b"x" * 300_000, b"P6\n"], ids=["longer", "shorter"])
+    def test_an_existing_output_ends_up_as_a_new_one(self, workdir, capsys, command, stale):
+        assert _embed(workdir)[0] == 0
+        new = [workdir / "new0", workdir / "new1"]
+        assert main(self._argv(workdir, command, new)) == 0
+        old = [workdir / "old0", workdir / "old1"]
+        for path in old:
+            path.write_bytes(stale)
+        inodes = [path.stat().st_ino for path in old]
+        assert main(self._argv(workdir, command, old)) == 0
+        written = [path for path in new if path.exists()]
+        assert [p.read_bytes() for p in old[:len(written)]] == [p.read_bytes() for p in written]
+        assert [path.stat().st_ino for path in old] == inodes  # the same files, rewritten
+
+    def test_embed_over_its_own_host_writes_what_it_writes_to_a_new_path(self, workdir):
+        code, out, key = _embed(workdir)
+        assert code == 0
+        host, own_key = workdir / "host.ppm", workdir / "own.key"
+        assert main(["embed", str(host), str(workdir / "wm.pbm"), str(host), str(own_key),
+                     "--seed", "42"]) == 0
+        assert host.read_bytes() == out.read_bytes()
+        assert own_key.read_bytes() == key.read_bytes()
 
 
 class TestHostileInputs:

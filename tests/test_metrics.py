@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wavemark import BitMatrix, PlanarImage, ber, nc, pearson, psnr
 from wavemark.image_io import _to_8bit
-from wavemark.metrics import _host_sums, _output_sums, _psnr_pearson
+from wavemark.metrics import _BLOCK, _host_sums, _output_sums, _psnr_pearson
 
 
 def _img(arr):
@@ -163,20 +163,20 @@ def test_region_sums_match_the_float_metrics(maxval, height, width, constant, se
     out = _to_8bit(host, maxval)
     out[:band] = rng.integers(0, 255, (band, width, 3), endpoint=True)
 
-    below = _host_sums(host[band:])
-    rest = _output_sums(host[band:], out[band:])
+    below = _host_sums(host[band:], maxval)
+    rest = _output_sums(host[band:], out[band:], maxval)
     if maxval == 255:  # below the band, y is x
         assert rest == (below[0], below[1], below[1])
-    top = _output_sums(host[:band], out[:band])
+    top = _output_sums(host[:band], out[:band], maxval)
     clean = tuple(t + b for t, b in zip(top, rest))
-    assert clean == _output_sums(host, out)
-    assert tuple(t + b for t, b in zip(_host_sums(host[:band]), below)) == _host_sums(host)
-    cut = _output_sums(host[rect], out[rect])
+    assert clean == _output_sums(host, out, maxval)
+    assert tuple(t + b for t, b in zip(_host_sums(host[:band], maxval), below)) == _host_sums(host, maxval)
+    cut = _output_sums(host[rect], out[rect], maxval)
     out[rect] = 0
     sums = tuple(c - k for c, k in zip(clean, cut))
-    assert sums == _output_sums(host, out)
+    assert sums == _output_sums(host, out, maxval)
 
-    psnr_db, r = _psnr_pearson(host.size, maxval, _host_sums(host), sums)
+    psnr_db, r = _psnr_pearson(host.size, maxval, _host_sums(host, maxval), sums)
     x = _img(host.transpose(2, 0, 1) / maxval)
     y = _img(out.transpose(2, 0, 1) / 255)
     assert f"{psnr_db:.4f}" == f"{psnr(x, y):.4f}"
@@ -185,3 +185,19 @@ def test_region_sums_match_the_float_metrics(maxval, height, width, constant, se
     except ValueError:  # a constant image has no correlation
         want = "nan"
     assert f"{r:.6f}" == want
+
+
+@pytest.mark.parametrize("maxval, dtype", [
+    (255, np.uint8),  # P6
+    (255, np.uint16),  # P3, whose 8-bit samples decode to uint16
+    (65535, np.dtype(">u2")),  # 16-bit P6
+    (65535, np.uint16),
+])
+def test_sums_at_the_accumulator_limits(maxval, dtype):
+    # every sample at its top over more than one block: each product, and
+    # each block's sum of products, reaches the most its type must hold
+    n = 2 * _BLOCK + 3
+    x = np.full(n, maxval, dtype)
+    y = np.full(n, 255, np.uint8)
+    assert _host_sums(x, maxval) == (n * maxval, n * maxval * maxval)
+    assert _output_sums(x, y, maxval) == (n * 255, n * 255 * 255, n * maxval * 255)

@@ -1,7 +1,8 @@
 """No BLAS call in the library.
 
 OpenBLAS worker threads busy-wait after each call, which takes the CPUs
-``bench`` runs its rows on; the library's sums of products use ``einsum``.
+``bench`` runs its rows on; the library's sums of products use ``einsum``
+or integer products and sums.
 This parses every module and fails on the ``@`` operator and on ``dot``,
 ``matmul``, ``inner``, ``vdot`` and ``tensordot``, as a numpy attribute,
 an array method or a name imported from numpy.

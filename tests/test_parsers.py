@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wavemark import BitMatrix, FormatError, PlanarImage, WatermarkKey, load_key, quantize
+from wavemark import BitMatrix, FormatError, PlanarImage, WatermarkKey, image_io, load_key, quantize
 from wavemark import read_image, read_watermark, save_key, write_image, write_watermark
 from wavemark.watermark import MIN_DELTA
 
@@ -112,6 +112,35 @@ def test_arbitrary_bytes(tmp_path, parse, magics, data):
 @given(data=st.data())
 def test_mutated_valid_inputs(tmp_path, parse, magics, data):
     _parses_or_rejects(tmp_path / "input", parse, data.draw(_mutations(magics)))
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns as (samples, maxval), or its FormatError's message."""
+    try:
+        samples, maxval = read(path)
+    except FormatError as exc:
+        return str(exc)
+    return samples.tolist(), maxval
+
+
+@pytest.mark.parametrize("head", [1 << 12, 16, 9, 1])
+@_SETTINGS
+@given(data=st.data())
+def test_a_read_is_a_whole_decode_cut_to_the_band(tmp_path, monkeypatch, head, data):
+    # the same rows or the same error, wherever the header's first read ends;
+    # only a sample above maxval below the band goes unseen
+    monkeypatch.setattr(image_io, "_HEAD", head)
+    path = tmp_path / "input"
+    path.write_bytes(data.draw(_mutations(image_io._RASTERS)))
+    rows = data.draw(st.integers(1, 4))
+    whole = _outcome(lambda p: image_io._decode_bytes(p.read_bytes(), p, image_io._RASTERS,
+                                                      lambda h, w, c: h), path)
+    assert _outcome(image_io._read_samples, path) == whole
+    band = _outcome(lambda p: image_io._read_samples(p, lambda h, w, c: min(rows, h)), path)
+    if isinstance(whole, tuple):
+        assert band == (whole[0][:rows], whole[1])
+    elif "exceeds maxval" not in whole:
+        assert band == whole
 
 
 @_SETTINGS
