@@ -14,9 +14,10 @@ the top rows alone: then a binary file is read for its header, its length
 is checked against the header, and only those rows are read and checked.
 
 Every output is opened by :func:`_open_output`, which creates the path
-or opens it without truncating it; the writer writes from offset 0 and
-truncates the file at the end of what it wrote, so an existing output is
-rewritten in the disk blocks it has.
+or opens it without truncating it; :func:`_write_all` writes from offset 0,
+truncates the file at the end of what it wrote, and writes the header last,
+so an existing output is rewritten in the disk blocks it has and one cut
+short reads as no Netpbm file.
 
 Samples are held as floats in [0, 1], one C-contiguous (height, width)
 plane per channel; a file sample ``v`` with maximum value ``maxval`` maps
@@ -133,6 +134,8 @@ _HEAD = 1 << 12
 _RASTERS = (b"P2", b"P5", b"P3", b"P6")
 # create, never truncate: see _open_output
 _OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+# an output's first bytes until the rest of it is written: no magic a reader takes
+_UNFINISHED = b"P0"
 
 
 def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, int]:
@@ -356,11 +359,20 @@ def _open_output(path):
     return open(os.open(path, _OUTPUT_FLAGS, 0o666), "wb")
 
 
-def _write_all(fh, *chunks) -> None:
-    """Write bytes-like ``chunks`` to an :func:`_open_output` file and end
-    the file after them."""
-    fh.writelines(chunks)
-    fh.truncate()  # flushes, then cuts at the position the chunks reached
+def _write_all(fh, head: bytes, *chunks) -> None:
+    """Write ``head`` and then bytes-like ``chunks`` to an
+    :func:`_open_output` file.  A regular file is cut after them, and its
+    first ``len(head)`` bytes read ``P0`` until the rest is written, so a
+    write that fails part way leaves a file that no reader takes.  Any other
+    file (a pipe, a terminal, /dev/null) can be neither cut nor rewritten,
+    and is written straight through."""
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    fh.writelines((_UNFINISHED.ljust(len(head), b"\n") if regular else head, *chunks))
+    if regular:
+        fh.truncate()  # flushes, then cuts at the position the chunks reached
+        fh.seek(0)
+        fh.write(head)
+    fh.flush()  # before another output open on the same path writes
 
 
 def _file_samples(planes, maxval: int, out: np.ndarray) -> np.ndarray:

@@ -320,6 +320,22 @@ class TestOutputsInPlace:
         assert [p.read_bytes() for p in old[:len(written)]] == [p.read_bytes() for p in written]
         assert [path.stat().st_ino for path in old] == inodes  # the same files, rewritten
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+    @pytest.mark.parametrize("command", ["embed", "attack", "synth", "extract"])
+    def test_an_output_through_a_pipe_is_written_whole(self, workdir, command):
+        # a pipe can be neither cut nor rewritten: its bytes go straight through
+        assert _embed(workdir)[0] == 0
+        new = workdir / "new"
+        assert main(self._argv(workdir, command, [new, workdir / "new.key"])) == 0
+        pipe = workdir / "pipe"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        assert main(self._argv(workdir, command, [pipe, workdir / "pipe.key"])) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive() and read == [new.read_bytes()]
+
     def test_embed_over_its_own_host_writes_what_it_writes_to_a_new_path(self, workdir):
         code, out, key = _embed(workdir)
         assert code == 0

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,16 +9,20 @@ from hypothesis import strategies as st
 from wavemark import BitMatrix, FormatError, PlanarImage, image_io, quantize
 from wavemark.image_io import (
     _TEXT_BLOCK,
+    _UNFINISHED,
     _decimal_samples,
     _encode_samples,
     _file_samples,
+    _open_output,
     _read_samples,
+    _write_samples,
     read_image,
     read_watermark,
     round_half_away,
     write_image,
     write_watermark,
 )
+from wavemark.watermark import WatermarkKey, _key_bytes, load_key, save_key
 
 
 def _netpbm(magic: bytes, samples: np.ndarray, maxval: int = 1) -> bytes:
@@ -190,6 +195,33 @@ class TestWriteImage:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_image(PlanarImage(np.zeros((1, 2, 2))), tmp_path / "no" / "dir" / "x.pgm")
+
+    def test_a_write_cut_short_leaves_no_image(self, tmp_path):
+        # over an old output of the same size, the new top rows and the old
+        # bottom rows would make a whole file: the header is what is missing
+        path = tmp_path / "out.ppm"
+        write_image(PlanarImage(np.zeros((3, 16, 16))), path)
+        size = path.stat().st_size
+        top = np.full((8, 16, 3), 255, np.uint8)
+        with pytest.raises(TypeError), _open_output(path) as fh:
+            _write_samples(fh, 255, top, "not bytes")  # fails after the top rows
+        assert path.stat().st_size == size
+        with pytest.raises(FormatError, match="unsupported magic b'P0'"):
+            read_image(path)
+
+    def test_a_key_cut_short_is_no_key(self, tmp_path):
+        # what save_key leaves until it has written the key itself
+        key = WatermarkKey(rows=2, cols=3, delta=0.5, seed=1, r=np.ones(6, np.uint8))
+        path = tmp_path / "key.txt"
+        path.write_bytes(_UNFINISHED.ljust(len(_key_bytes(key)), b"\n"))
+        with pytest.raises(FormatError, match="bad magic 'P0'"):
+            load_key(path)
+
+    def test_outputs_that_are_not_regular_files(self):
+        # /dev/null can be neither cut nor rewritten, and is written straight through
+        write_image(PlanarImage(np.zeros((3, 8, 8))), os.devnull)
+        write_watermark(BitMatrix(np.ones((2, 3))), os.devnull)
+        save_key(WatermarkKey(rows=2, cols=3, delta=0.5, seed=1, r=np.ones(6, np.uint8)), os.devnull)
 
 
 class TestReadWatermark:

@@ -195,8 +195,9 @@ def test_region_sums_match_the_float_metrics(maxval, height, width, constant, se
 ])
 def test_sums_at_the_accumulator_limits(maxval, dtype):
     # every sample at its top over more than one block: each product, and
-    # each block's sum of products, reaches the most its type must hold
-    n = 2 * _BLOCK + 3
+    # each block's sum of products, reaches the most its type must hold, and
+    # at maxval 255 a sum of all n products would overflow the block sum's type
+    n = 3 * _BLOCK + 3
     x = np.full(n, maxval, dtype)
     y = np.full(n, 255, np.uint8)
     assert _host_sums(x, maxval) == (n * maxval, n * maxval * maxval)
