@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import CropRect
-from .errors import FormatError, WavemarkError
-from .image_io import _file_samples, _read_samples, _to_8bit
+from .errors import WavemarkError
+from .image_io import _COLOUR, _decode, _file_samples, _to_8bit
 from .metrics import _host_sums, _output_sums, _psnr_pearson, ber, nc
 from .watermark import _embed_band, _extract_band
 from .wavelet import _analyse, _pyramid_grids, _thresholded_inverse, check_dimensions
@@ -58,19 +58,6 @@ def format_text(rows) -> str:
     return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in table)
 
 
-def _read_host(path, band=lambda height, width: height):
-    """A colour host's integer samples, shaped (height, width, 3), and its
-    maxval: the mark lives in the luma of its JPEG-YCbCr.  Only the rows
-    [0, band(height, width)) are returned, read as
-    :func:`image_io._decode` reads them."""
-    def rows(height, width, channels):
-        if channels != 3:
-            raise FormatError(f"{path}: host must be a colour PPM (P3/P6), got a grayscale image")
-        return band(height, width)
-
-    return _read_samples(path, rows)
-
-
 def _embed_8bit(host, maxval, wm, seed, delta):
     """The 8-bit samples ``embed`` writes for a host's integer samples, in the
     mark's band and below it, the key, the host's sums and the output's sums."""
@@ -93,8 +80,9 @@ def _compressor(samples, maxval):
     analysed first, on every CPU the process may use, into grids allocated
     here; an analysis's error leaves this call, before any ``compress``."""
     # the pool's modules live for the process: loaded above the grids, they
-    # would keep the heap from shrinking when the grids are freed
-    from concurrent.futures import ThreadPoolExecutor, wait  # noqa: F401
+    # would keep the heap from shrinking when the grids are freed (with no
+    # import here, bench-512's peak RSS read 67.6 MiB, not 63.3)
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
     height, width, channels = samples.shape
     check_dimensions(height, width)
     grids = [_pyramid_grids(height, width) for _ in range(channels)]
@@ -128,10 +116,6 @@ def _on_every_cpu(n: int, task) -> list:
     would only add one more heap's peak.  The workers are kept: a thread
     frees its heap after its join returns, so a new one may make another.
     """
-    # imported here: it loads logging, 5 ms and 0.6 MiB that only bench and
-    # attack --compress-t need
-    from concurrent.futures import wait
-
     results = [None] * n
     indices = iter(range(n))  # the GIL makes each next() on it atomic
 
@@ -152,7 +136,8 @@ def _on_every_cpu(n: int, task) -> list:
     try:
         drain()
     finally:  # the error leaves when the running tasks have ended
-        wait(workers)
+        for worker in workers:
+            worker.exception()
     for worker in workers:
         worker.result()
     return results
@@ -175,7 +160,7 @@ def _bench_host(path, wm, thresholds, rects, host_seed, delta) -> list[BenchRow]
     scenario order, so neither the bytes nor the order depend on them.
     """
     try:
-        host, maxval = _read_host(path)
+        host, maxval = _decode(path, _COLOUR)
         # bench rows describe the file pipeline: the 8-bit file embed writes
         top, below, key, host_sums, clean = _embed_8bit(host, maxval, wm, host_seed, delta)
         marked = np.concatenate((top, below))

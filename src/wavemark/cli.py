@@ -19,13 +19,15 @@ import sys
 import numpy as np
 
 from .attacks import CropRect, _check_fill
-from .bench import BenchRow, _bench_host, _cells, _compressor, _embed_8bit, _read_host
+from .bench import BenchRow, _bench_host, _cells, _compressor, _embed_8bit
 from .bench import format_csv, format_text
 from .errors import CapacityError, DimensionError, FormatError, UsageError
 from .image_io import (
+    _COLOUR,
+    _RASTERS,
+    _decode,
     _encode_samples,
     _open_output,
-    _read_samples,
     _to_8bit,
     _write_all,
     _write_samples,
@@ -85,7 +87,7 @@ def _check_seed_flag(seed, hosts: int) -> None:
 
 def cmd_embed(args) -> int:
     _check_seed_flag(args.seed, 1)
-    host, maxval = _read_host(args.host)
+    host, maxval = _decode(args.host, _COLOUR)
     wm = read_watermark(args.watermark)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     top, below, key, host_sums, sums = _embed_8bit(host, maxval, wm, seed, args.delta)
@@ -109,13 +111,13 @@ def cmd_extract(args) -> int:
         key = load_key(args.key)
         return _mark_band(height, width, key.n)
 
-    image, maxval = _read_host(args.image, band)
+    image, maxval = _decode(args.image, _COLOUR, band)
     write_watermark(_extract_band(image.transpose(2, 0, 1), maxval, key), args.out_watermark)
     return 0
 
 
 def cmd_attack(args) -> int:
-    samples, maxval = _read_samples(args.image)
+    samples, maxval = _decode(args.image, _RASTERS)
     if args.crop is None:
         out = _compressor(samples, maxval)(args.compress_t)
     else:  # the bytes write_image(crop(img, rect, fill)) writes

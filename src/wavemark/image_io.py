@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, _quote
 
 __all__ = [
     "PlanarImage",
@@ -132,6 +132,7 @@ _TEXT_BLOCK = 1 << 16
 # bytes first read for a binary header; one that runs past them is decoded whole
 _HEAD = 1 << 12
 _RASTERS = (b"P2", b"P5", b"P3", b"P6")
+_COLOUR = (b"P3", b"P6")  # a host's: the mark lives in the luma of its colour
 # create, never truncate: see _open_output
 _OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 # an output's first bytes until the rest of it is written: no magic a reader takes
@@ -146,7 +147,7 @@ def _header_int(data: bytes, pos: int, path, name: str, hi: int) -> tuple[int, i
     # more than 10 significant digits is out of range for every field
     if not token.isdigit() or len(digits) > 10 or not 1 <= int(digits) <= hi:
         raise FormatError(
-            f"{path}: byte {m.start(1)}: expected {name} in [1, {hi}], got {token!r}"
+            f"{path}: byte {m.start(1)}: expected {name} in [1, {hi}], got {_quote(token)}"
         )
     return int(digits), m.end()
 
@@ -157,9 +158,8 @@ def _header(data: bytes, path, magics: tuple[bytes, ...]) -> tuple[bytes, int, i
     m = _TOKEN.match(data)
     magic = m[1]
     if magic not in magics:
-        raise FormatError(
-            f"{path}: byte {m.start(1)}: unsupported magic {magic!r}, expected one of {magics}"
-        )
+        expected = b"/".join(magics).decode()
+        raise FormatError(f"{path}: byte {m.start(1)}: unsupported magic {_quote(magic)}, expected {expected}")
     width, pos = _header_int(data, m.end(), path, "width", _MAX_SIDE)
     height, pos = _header_int(data, pos, path, "height", _MAX_SIDE)
     maxval = 1
@@ -189,15 +189,16 @@ def _check_maxval(samples: np.ndarray, maxval: int, count: int, path) -> None:
         raise FormatError(f"{path}: sample {first} of {count} exceeds maxval {maxval}")
 
 
-def _decode(path, magics: tuple[bytes, ...], band=lambda height, width, channels: height):
-    """Integer samples of the rows [0, band(height, width, channels)) of a
-    Netpbm file, shaped (rows, width, channels), and its maxval; PBM reads as
-    maxval 1.
+def _decode(path, magics: tuple[bytes, ...], band=lambda height, width: height):
+    """Integer samples of the rows [0, band(height, width)) of a Netpbm file
+    whose magic is one of ``magics``, shaped (rows, width, channels), and its
+    maxval; PBM reads as maxval 1.
 
     ``band`` is called once the file has passed every check that reads no
-    sample of those rows.  A P5 or P6 regular file is read for its header,
-    measured by ``os.fstat`` against the samples the header promises, and
-    then read for those rows alone, which alone are checked against maxval.
+    sample of those rows, and may raise.  A P5 or P6 regular file is read for
+    its header, measured by ``os.fstat`` against the samples the header
+    promises, and then read for those rows alone, which alone are checked
+    against maxval.
     Any other file (ASCII, P4, a pipe, or a header that does not end in its
     first _HEAD bytes) is decoded whole by :func:`_decode_bytes`.
     """
@@ -219,7 +220,7 @@ def _decode(path, magics: tuple[bytes, ...], band=lambda height, width, channels
         fit = (st.st_size - start) // dtype.itemsize
         if fit < count:
             raise _truncated(path, fit, count)
-        rows = band(height, width, channels)
+        rows = band(height, width)
         fh.seek(start)
         samples = np.fromfile(fh, dtype, rows * width * channels)
     if samples.size < rows * width * channels:  # the file shrank since fstat
@@ -263,7 +264,7 @@ def _decode_bytes(data: bytes, path, magics: tuple[bytes, ...], band) -> tuple[n
     samples = samples[:count]
     _check_maxval(samples, maxval, count, path)
     # file order is row-major, channels interleaved per pixel
-    rows = band(height, width, channels)
+    rows = band(height, width)
     return samples.reshape(height, padded, channels)[:rows, :width], maxval
 
 
@@ -290,7 +291,7 @@ def _decimal_samples(body, maxval: int, count: int, path) -> np.ndarray:
         n += len(samples)
         if end < stop and n < count:  # the bad token comes before the last sample
             token = _TOKEN.match(body, end)[1]
-            raise FormatError(f"{path}: sample {n} of {count}: expected a decimal integer, got {token!r}")
+            raise FormatError(f"{path}: sample {n} of {count}: expected a decimal integer, got {_quote(token)}")
         start = stop
     return out[:n]
 
@@ -318,14 +319,7 @@ def _block_samples(block: np.ndarray, width: int, maxval: int, dtype) -> np.ndar
 
 def read_image(path) -> PlanarImage:
     """Read a PGM (P2/P5) or PPM (P3/P6) file into a unit-range raster."""
-    return _to_image(*_read_samples(path))
-
-
-def _read_samples(path, band=lambda height, width, channels: height) -> tuple[np.ndarray, int]:
-    """The integer samples of the rows [0, band(height, width, channels)) of a
-    PGM or PPM file, shaped (rows, width, channels), and its maxval, read as
-    :func:`_decode` reads them."""
-    return _decode(path, _RASTERS, band)
+    return _to_image(*_decode(path, _RASTERS))
 
 
 def _to_image(samples: np.ndarray, maxval: int) -> PlanarImage:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colorspace import luma
-from .errors import CapacityError, FormatError
+from .errors import _QUOTE, CapacityError, FormatError, _quote
 from .image_io import BitMatrix, PlanarImage, _open_output, _write_all, round_half_away
 from .wavelet import LEVELS, band_margin, check_dimensions, dwt2_ll, dwt2_ll_inverse
 
@@ -257,7 +257,7 @@ def load_key(path) -> WatermarkKey:
     if len(lines) < 5 or any(line.strip() for line in lines[5:]):
         raise FormatError(f"{path}: key file must have exactly 5 lines")
     if lines[0] != _KEY_MAGIC:
-        raise FormatError(f"{path}: bad magic {lines[0]!r}, expected {_KEY_MAGIC!r}")
+        raise FormatError(f"{path}: bad magic {_quote(lines[0])}, expected {_KEY_MAGIC!r}")
 
     fields = _parse_fields(
         lines[1], ("levels", "subband", "rows", "cols", "offset"), path
@@ -268,14 +268,11 @@ def load_key(path) -> WatermarkKey:
 
     for name, literal in (("levels", "3"), ("subband", "LL"), ("offset", "0")):
         if fields[name] != literal:
-            raise FormatError(f"{path}: unsupported {name} {fields[name]!r}, expected {literal!r}")
-    try:
-        rows = int(fields["rows"])
-        cols = int(fields["cols"])
-        delta = float(delta_field["delta"])
-        seed = int(seed_field["seed"])
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed numeric field: {exc}") from None
+            raise FormatError(f"{path}: unsupported {name} {_quote(fields[name])}, expected {literal!r}")
+    rows = _number(int, fields["rows"], path)
+    cols = _number(int, fields["cols"], path)
+    delta = _number(float, delta_field["delta"], path)
+    seed = _number(int, seed_field["seed"], path)
 
     n = rows * cols
     try:
@@ -302,9 +299,19 @@ def _parse_fields(line: str, names: tuple[str, ...], path) -> dict[str, str]:
     for item in line.split():
         name, sep, value = item.partition("=")
         if not sep or name not in names or name in out:
-            raise FormatError(f"{path}: unexpected field {item!r}")
+            raise FormatError(f"{path}: unexpected field {_quote(item)}")
         out[name] = value
     missing = [n for n in names if n not in out]
     if missing:
-        raise FormatError(f"{path}: missing field(s) {missing} in {line!r}")
+        raise FormatError(f"{path}: missing field(s) {missing} in {_quote(line)}")
     return out
+
+
+def _number(parse, text: str, path):
+    """``parse(text)``; a malformed number is a FormatError in Python's words,
+    or quoting the text if it is long: Python's words for a float quote it all."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        detail = exc if len(text) <= _QUOTE else _quote(text)
+        raise FormatError(f"{path}: malformed numeric field: {detail}") from None

@@ -15,7 +15,7 @@ from wavemark import BitMatrix, PlanarImage, ber, nc, pearson, psnr, read_image,
 from wavemark import FormatError, write_image, write_watermark
 from wavemark.bench import _on_every_cpu
 from wavemark.cli import main
-from wavemark.image_io import _read_samples
+from wavemark.image_io import _RASTERS, _decode
 from wavemark.watermark import _mark_band
 from conftest import _report_cpus, make_mark
 
@@ -216,7 +216,7 @@ def _extract(capsys, image, key):
 
 def _p6_maxval_1000(image):
     """The samples of an 8-bit P6 on the 1000 grid, and the file's header."""
-    samples, _ = _read_samples(image)
+    samples, _ = _decode(image, _RASTERS)
     return np.floor(samples * (1000 / 255) + 0.5).astype(">u2"), b"P6\n512 512\n1000\n"
 
 
@@ -230,7 +230,7 @@ class TestExtractReadsTheBand:
         kept = (144 + 10) * 512 * 3 + 1  # the band whole, and part of a pixel
         out.write_bytes(data[:len(data) - 512 * 512 * 3 + kept])
         with pytest.raises(FormatError) as whole:  # the message of a whole read
-            _read_samples(out)
+            _decode(out, _RASTERS)
         code, err, _ = _extract(capsys, out, key)
         assert code == 3 and err == f"error: format: {whole.value}\n"
         assert err.endswith(f"truncated payload, file ends before sample {kept} of 786432\n")
@@ -247,7 +247,7 @@ class TestExtractReadsTheBand:
         samples[300, 7, 1] = 1001
         out.write_bytes(header + samples.tobytes())
         with pytest.raises(FormatError, match="exceeds maxval 1000"):
-            _read_samples(out)  # a whole read rejects the file
+            _decode(out, _RASTERS)  # a whole read rejects the file
         code, _, bits = _extract(capsys, out, key)
         assert code == 0 and np.array_equal(bits, make_mark().bits)
 
@@ -588,6 +588,79 @@ class TestHostileInputs:
             assert main(["extract", str(out), str(key), str(workdir / "rec.pbm")]) == 0
         assert not caught, [str(w.message) for w in caught]
 
+
+
+def _bad_key(key, line: int, text: str) -> None:
+    lines = key.read_text().splitlines()
+    lines[line] = text
+    key.write_text("\n".join(lines) + "\n")
+
+
+class TestErrorLinesQuoteAPrefix:
+    """An error quotes at most 24 bytes of a bad token and marks the cut, so a
+    token of any length gives a short line; a shorter token is quoted whole."""
+
+    MIB = 1 << 20
+
+    @pytest.fixture
+    def marked(self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)  # short paths: the line's length is the message's
+        _embed(workdir)
+        return Path("marked.ppm"), Path("key.txt")
+
+    def _error(self, capsys, image, key):
+        capsys.readouterr()
+        assert main(["extract", str(image), str(key), "rec.pbm"]) == 3
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, named", [
+        (b"\x80" * MIB, "image.ppm: byte 0: unsupported magic b'\\x80"),
+        (b"P6\n" + b"1" * MIB + b" 256\n255\n", "image.ppm: byte 3: expected width"),
+        (b"P3\n256 256\n255\n" + b"1" * MIB + b"x 0\n", "image.ppm: sample 0 of 196608:"),
+    ], ids=["magic", "width", "sample"])
+    def test_a_long_image_token(self, marked, capsys, data, named):
+        Path("image.ppm").write_bytes(data)
+        err = self._error(capsys, "image.ppm", marked[1])
+        assert err.startswith(f"error: format: {named}") and "'..." in err
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 200
+
+    @pytest.mark.parametrize("line, text, named", [
+        (0, "W" * MIB, "bad magic 'WWW"),
+        (1, "levels=3 subband=LL rows=15 cols=64 offset=0 x=" + "y" * MIB, "unexpected field 'x=yyy"),
+        (1, "levels=" + "3" * MIB, "missing field(s) ['subband', 'rows', 'cols', 'offset'] in"),
+        (1, "levels=3 subband=" + "L" * MIB + " rows=15 cols=64 offset=0", "unsupported subband 'LLL"),
+        (2, "delta=" + "x" * MIB, "malformed numeric field: 'xxx"),
+    ], ids=["magic", "unexpected", "missing", "subband", "delta"])
+    def test_a_long_key_field(self, marked, capsys, line, text, named):
+        _bad_key(marked[1], line, text)
+        err = self._error(capsys, *marked)
+        assert err.startswith(f"error: format: key.txt: {named}") and "'..." in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P0\n", "byte 0: unsupported magic b'P0', expected P3/P6"),
+        (b"P6\n12x 256\n255\n", "byte 3: expected width in [1, 1073741824], got b'12x'"),
+        (b"P3\n8 8\n255\n1 2x 3\n", "sample 1 of 192: expected a decimal integer, got b'2x'"),
+        (b"P3\n8 8\n255\n" + b"1" * 23 + b"x\n",
+         "sample 0 of 192: expected a decimal integer, got b'11111111111111111111111x'"),
+        (b"P3\n8 8\n255\n" + b"1" * 24 + b"x\n",
+         "sample 0 of 192: expected a decimal integer, got b'111111111111111111111111'..."),
+    ])
+    def test_a_short_image_token_is_quoted_whole(self, marked, capsys, data, message):
+        Path("image.ppm").write_bytes(data)
+        assert self._error(capsys, "image.ppm", marked[1]) == f"error: format: image.ppm: {message}\n"
+
+    @pytest.mark.parametrize("line, text, message", [
+        (0, "WMKEY2", "bad magic 'WMKEY2', expected 'WMKEY1'"),
+        (1, "levels=3 subband=LL rows=15 cols=64 offset=0 x=y", "unexpected field 'x=y'"),
+        (1, "levels=3", "missing field(s) ['subband', 'rows', 'cols', 'offset'] in 'levels=3'"),
+        (1, "levels=3 subband=HH rows=15 cols=64 offset=0", "unsupported subband 'HH', expected 'LL'"),
+        (2, "delta=x", "malformed numeric field: could not convert string to float: 'x'"),
+        (3, "seed=x", "malformed numeric field: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_a_short_key_field_is_quoted_whole(self, marked, capsys, line, text, message):
+        _bad_key(marked[1], line, text)
+        assert self._error(capsys, *marked) == f"error: format: key.txt: {message}\n"
 
 class TestUsagePath:
     """Every command line the parser rejects, argparse's own rejections

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from wavemark import BitMatrix, FormatError, PlanarImage, image_io, quantize
 from wavemark.image_io import (
+    _RASTERS,
     _TEXT_BLOCK,
     _UNFINISHED,
+    _decode,
     _decimal_samples,
     _encode_samples,
     _file_samples,
     _open_output,
-    _read_samples,
     _write_samples,
     read_image,
     read_watermark,
@@ -369,9 +370,9 @@ class TestAsciiDecoding:
         b.write_bytes(plain + b"# one trailing comment\n")
         peaks = []
         for p in (a, b):
-            _read_samples(p)  # warm: only the read itself is measured
+            _decode(p, _RASTERS)  # warm: only the read itself is measured
             tracemalloc.start()
-            got, maxval = _read_samples(p)
+            got, maxval = _decode(p, _RASTERS)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
             assert maxval == 255 and np.array_equal(got, samples)

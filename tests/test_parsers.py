@@ -134,9 +134,9 @@ def test_a_read_is_a_whole_decode_cut_to_the_band(tmp_path, monkeypatch, head, d
     path.write_bytes(data.draw(_mutations(image_io._RASTERS)))
     rows = data.draw(st.integers(1, 4))
     whole = _outcome(lambda p: image_io._decode_bytes(p.read_bytes(), p, image_io._RASTERS,
-                                                      lambda h, w, c: h), path)
-    assert _outcome(image_io._read_samples, path) == whole
-    band = _outcome(lambda p: image_io._read_samples(p, lambda h, w, c: min(rows, h)), path)
+                                                      lambda h, w: h), path)
+    assert _outcome(lambda p: image_io._decode(p, image_io._RASTERS), path) == whole
+    band = _outcome(lambda p: image_io._decode(p, image_io._RASTERS, lambda h, w: min(rows, h)), path)
     if isinstance(whole, tuple):
         assert band == (whole[0][:rows], whole[1])
     elif "exceeds maxval" not in whole:
